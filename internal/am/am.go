@@ -74,9 +74,12 @@ type Port struct {
 	ep   *comm.Endpoint
 
 	delivered int64 // messages dispatched on this port
-	// stash hands one record from an empty-queue TakeAsync callback to
-	// the parked task serve loop (see task.go).
-	stash []byte
+
+	// Task-side state (task.go), touched only from the port's own node:
+	// the serve loop, the SendTask frame freelist, and the record pool.
+	srv      serveLoop
+	sendFree []*sendFrame
+	recFree  [][]byte
 }
 
 // Rank returns the port's rank.
@@ -92,8 +95,9 @@ func (p *Port) Delivered() int64 { return p.delivered }
 // (4), args (8 each), payload (rest).
 const msgHeader = 12
 
-func encode(handler, src int, args []int64, payload []byte) []byte {
-	buf := make([]byte, msgHeader+8*len(args)+len(payload))
+// encode marshals a record into buf, which must be exactly
+// RecordBytes(len(args), len(payload)) long.
+func encode(buf []byte, handler, src int, args []int64, payload []byte) {
 	binary.LittleEndian.PutUint32(buf[0:], uint32(handler))
 	binary.LittleEndian.PutUint32(buf[4:], uint32(src))
 	binary.LittleEndian.PutUint32(buf[8:], uint32(len(args)))
@@ -101,14 +105,19 @@ func encode(handler, src int, args []int64, payload []byte) []byte {
 		binary.LittleEndian.PutUint64(buf[msgHeader+8*i:], uint64(a))
 	}
 	copy(buf[msgHeader+8*len(args):], payload)
-	return buf
 }
 
-func decode(rec []byte) (handler, src int, args []int64, payload []byte) {
+// decode unmarshals a record, writing the argument words into scratch
+// (a fresh slice if scratch is too short): the returned args alias it,
+// and payload aliases rec.
+func decode(rec []byte, scratch []int64) (handler, src int, args []int64, payload []byte) {
 	handler = int(binary.LittleEndian.Uint32(rec[0:]))
 	src = int(binary.LittleEndian.Uint32(rec[4:]))
 	nargs := int(binary.LittleEndian.Uint32(rec[8:]))
-	args = make([]int64, nargs)
+	if cap(scratch) < nargs {
+		scratch = make([]int64, nargs)
+	}
+	args = scratch[:nargs]
 	for i := range args {
 		args[i] = int64(binary.LittleEndian.Uint64(rec[msgHeader+8*i:]))
 	}
@@ -134,7 +143,8 @@ func (p *Port) Send(dst, handler int, args []int64, payload []byte) {
 	// Marshal the request record (touches a fresh buffer line).
 	a := p.l.f.A
 	p.ep.Compute(a.Instr(1.5) + a.CacheMiss)
-	rec := encode(handler, p.rank, args, payload)
+	rec := make([]byte, RecordBytes(len(args), len(payload)))
+	encode(rec, handler, p.rank, args, payload)
 	if dst == p.rank {
 		// Local delivery still goes through the message queue: handlers
 		// must never run nested inside the sender (a handler that sends to
@@ -178,7 +188,7 @@ func (p *Port) Poll() bool {
 		return false
 	}
 	p.ep.Compute(p.signalCost())
-	h, src, args, payload := decode(rec)
+	h, src, args, payload := decode(rec, nil)
 	p.dispatch(h, src, args, payload)
 	return true
 }
@@ -207,7 +217,7 @@ func (p *Port) PollAll() int {
 		if !ok {
 			return n
 		}
-		h, src, args, payload := decode(rec)
+		h, src, args, payload := decode(rec, nil)
 		p.dispatch(h, src, args, payload)
 		n++
 	}
@@ -217,7 +227,7 @@ func (p *Port) PollAll() int {
 func (p *Port) ServeOne() {
 	rec := p.ep.Recv(p.l.queues[p.rank])
 	p.ep.Compute(p.signalCost())
-	h, src, args, payload := decode(rec)
+	h, src, args, payload := decode(rec, nil)
 	p.dispatch(h, src, args, payload)
 }
 

@@ -421,6 +421,8 @@ type Endpoint struct {
 	// work is the pre-built proxy work item submitted once per operation
 	// (proxy design points only).
 	work machine.Work
+	// subFree recycles the task-side submission frames (taskapi.go).
+	subFree []*submitFrame
 
 	// Traffic counters live per endpoint — not on the fabric — because an
 	// endpoint submits only from its own node's event context; a parallel

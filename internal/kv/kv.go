@@ -57,13 +57,65 @@ type Config struct {
 	Replication int
 }
 
-// repWait tracks one replicated PUT at its primary until every follower
-// has acknowledged.
+// repWait tracks one replicated PUT at its primary: first the chain of
+// follower writes the PUT handler submits, then the acknowledgements
+// until every follower has answered. Its id is its slot in the primary's
+// repTable, and the chain's continuation is bound once per wait, so a
+// recycled wait carries a replicated PUT without allocating.
 type repWait struct {
+	live   bool
 	need   int
 	client int
 	flags  int64
 	issued int64
+
+	// The follower-write chain, run from the PUT handler before its
+	// continuation k (sendNext).
+	s     *Service
+	p     *am.Port
+	t     *sim.Task
+	si    int
+	id    uint64
+	key   uint64
+	j     int
+	k     func()
+	nextK func()
+}
+
+// repTable is one server's in-flight replicated PUTs: slot i holds the
+// wait with replication id i, and closed slots are reused with their
+// wait. Only the owning server's port touches it.
+type repTable struct {
+	slots []*repWait
+	free  []uint64
+}
+
+func (rt *repTable) open() *repWait {
+	if n := len(rt.free); n > 0 {
+		id := rt.free[n-1]
+		rt.free = rt.free[:n-1]
+		w := rt.slots[id]
+		w.live = true
+		return w
+	}
+	w := &repWait{live: true, id: uint64(len(rt.slots))}
+	w.nextK = w.sendNext
+	rt.slots = append(rt.slots, w)
+	return w
+}
+
+// get returns the live wait with replication id id, or nil.
+func (rt *repTable) get(id uint64) *repWait {
+	if id >= uint64(len(rt.slots)) || !rt.slots[id].live {
+		return nil
+	}
+	return rt.slots[id]
+}
+
+func (rt *repTable) close(w *repWait) {
+	id, nextK := w.id, w.nextK
+	*w = repWait{id: id, nextK: nextK}
+	rt.free = append(rt.free, id)
 }
 
 // Service is the cluster-wide KV state: handler ids, per-server version
@@ -77,9 +129,8 @@ type Service struct {
 	// slot, so shards of a parallel run never contend and the aggregate
 	// accessors below sum deterministically.
 	stores  []map[uint64]uint64 // per shard: key -> version
-	pending []map[uint64]*repWait
-	nextRep []uint64 // per shard: replication ids (keys of pending[si])
-	val     []byte   // synthesized-value scratch, sized once at New
+	pending []repTable          // per shard: in-flight replicated PUTs
+	val     []byte              // synthesized-value scratch, sized once at New
 
 	served     [][numOps]int64
 	replicated []int64
@@ -118,9 +169,8 @@ func New(l *am.Layer, cfg Config) *Service {
 	for i, rank := range cfg.Servers {
 		s.idx[rank] = i
 		s.stores = append(s.stores, make(map[uint64]uint64))
-		s.pending = append(s.pending, make(map[uint64]*repWait))
 	}
-	s.nextRep = make([]uint64, len(cfg.Servers))
+	s.pending = make([]repTable, len(cfg.Servers))
 	s.served = make([][numOps]int64, len(cfg.Servers))
 	s.replicated = make([]int64, len(cfg.Servers))
 	// Pre-size the value scratch to the largest payload any handler
@@ -223,17 +273,20 @@ func (s *Service) Replicated() int64 {
 // GetTask issues a GET for key from the client behind p. flags and
 // issuedNs are echoed verbatim in the reply; k runs at submission.
 func (s *Service) GetTask(p *am.Port, t *sim.Task, key uint64, flags, issuedNs int64, k func()) {
-	p.SendTask(t, s.Primary(key), s.hGet, []int64{flags, issuedNs, int64(key)}, nil, k)
+	args := [3]int64{flags, issuedNs, int64(key)}
+	p.SendTask(t, s.Primary(key), s.hGet, args[:], nil, k)
 }
 
 // PutTask issues a PUT of the configured value size for key.
 func (s *Service) PutTask(p *am.Port, t *sim.Task, key uint64, flags, issuedNs int64, k func()) {
-	p.SendTask(t, s.Primary(key), s.hPut, []int64{flags, issuedNs, int64(key)}, s.value(s.cfg.ValueBytes), k)
+	args := [3]int64{flags, issuedNs, int64(key)}
+	p.SendTask(t, s.Primary(key), s.hPut, args[:], s.value(s.cfg.ValueBytes), k)
 }
 
 // ScanTask issues a SCAN of ScanCount records starting at key.
 func (s *Service) ScanTask(p *am.Port, t *sim.Task, key uint64, flags, issuedNs int64, k func()) {
-	p.SendTask(t, s.Primary(key), s.hScan, []int64{flags, issuedNs, int64(key)}, nil, k)
+	args := [3]int64{flags, issuedNs, int64(key)}
+	p.SendTask(t, s.Primary(key), s.hScan, args[:], nil, k)
 }
 
 func (s *Service) onGet(p *am.Port, t *sim.Task, src int, args []int64, payload []byte, k func()) {
@@ -254,23 +307,28 @@ func (s *Service) onPut(p *am.Port, t *sim.Task, src int, args []int64, payload 
 		p.SendTask(t, src, s.hPutRe, args[:2], nil, k)
 		return
 	}
-	id := s.nextRep[si]
-	s.nextRep[si]++
-	s.pending[si][id] = &repWait{need: s.cfg.Replication - 1, client: src, flags: args[0], issued: args[1]}
-	s.sendReps(p, t, si, id, key, 1, k)
+	w := s.pending[si].open()
+	w.need, w.client, w.flags, w.issued = s.cfg.Replication-1, src, args[0], args[1]
+	w.s, w.p, w.t, w.si, w.key, w.j, w.k = s, p, t, si, key, 1, k
+	w.sendNext()
 }
 
-// sendReps chains the follower writes of a replicated PUT: copies land
-// on the Replication-1 servers after the primary in shard order.
-func (s *Service) sendReps(p *am.Port, t *sim.Task, si int, id, key uint64, j int, k func()) {
-	if j >= s.cfg.Replication {
+// sendNext chains the follower writes of a replicated PUT: copies land
+// on the Replication-1 servers after the primary in shard order. The
+// chain ends (running the handler's k) before the primary's serve loop
+// can dispatch any acknowledgement, so the wait outlives it.
+func (w *repWait) sendNext() {
+	s := w.s
+	if w.j >= s.cfg.Replication {
+		k := w.k
+		w.p, w.t, w.k = nil, nil, nil
 		k()
 		return
 	}
-	dst := s.cfg.Servers[(si+j)%len(s.cfg.Servers)]
-	p.SendTask(t, dst, s.hRep, []int64{int64(id), int64(key)}, nil, func() {
-		s.sendReps(p, t, si, id, key, j+1, k)
-	})
+	dst := s.cfg.Servers[(w.si+w.j)%len(s.cfg.Servers)]
+	w.j++
+	args := [2]int64{int64(w.id), int64(w.key)}
+	w.p.SendTask(w.t, dst, s.hRep, args[:], nil, w.nextK)
 }
 
 func (s *Service) onRep(p *am.Port, t *sim.Task, src int, args []int64, payload []byte, k func()) {
@@ -283,7 +341,7 @@ func (s *Service) onRep(p *am.Port, t *sim.Task, src int, args []int64, payload 
 func (s *Service) onRepAck(p *am.Port, t *sim.Task, src int, args []int64, payload []byte, k func()) {
 	si := s.idx[p.Rank()]
 	id := uint64(args[0])
-	w := s.pending[si][id]
+	w := s.pending[si].get(id)
 	if w == nil {
 		panic(fmt.Sprintf("kv: server %d acked unknown replication %d", src, id))
 	}
@@ -291,13 +349,14 @@ func (s *Service) onRepAck(p *am.Port, t *sim.Task, src int, args []int64, paylo
 		k()
 		return
 	}
-	delete(s.pending[si], id)
 	if s.Flight != nil {
 		if fid := flight.FlagsID(w.flags); fid != 0 {
 			s.Flight.RepAcked(fid)
 		}
 	}
-	p.SendTask(t, w.client, s.hPutRe, []int64{w.flags, w.issued}, nil, k)
+	client, reply := w.client, [2]int64{w.flags, w.issued}
+	s.pending[si].close(w)
+	p.SendTask(t, client, s.hPutRe, reply[:], nil, k)
 }
 
 func (s *Service) onScan(p *am.Port, t *sim.Task, src int, args []int64, payload []byte, k func()) {

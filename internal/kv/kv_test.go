@@ -225,3 +225,75 @@ func TestReplicationClampedToServers(t *testing.T) {
 		t.Errorf("Replicated() = %d, want 1 (2 servers, replication clamped to 2)", got)
 	}
 }
+
+// closedLoop is a one-outstanding-request client whose continuations are
+// bound once, so the pin below measures the service, not the driver.
+type closedLoop struct {
+	svc     *kv.Service
+	port    *am.Port
+	eng     *sim.Engine
+	t       *sim.Task
+	key     uint64
+	sent    int
+	replies int
+	issueK  func()
+	parkK   func()
+}
+
+// issue alternates replicated PUTs and GETs, parking until the reply.
+func (c *closedLoop) issue() {
+	c.sent++
+	if c.sent%2 == 1 {
+		c.svc.PutTask(c.port, c.t, c.key, 0, int64(c.eng.Now()), c.parkK)
+	} else {
+		c.svc.GetTask(c.port, c.t, c.key, 0, int64(c.eng.Now()), c.parkK)
+	}
+}
+
+func (c *closedLoop) park() { c.t.Park(c.issueK) }
+
+// TestAllocPinReplicatedPut pins the KV request path at zero: after a
+// warm window, closed-loop PUTs at replication 2 (primary write, follower
+// write and ack, client reply) interleaved with GETs must not allocate.
+func TestAllocPinReplicatedPut(t *testing.T) {
+	h := newHarness(t, 2, 2)
+	c := &closedLoop{svc: h.svc, port: h.client, eng: h.eng}
+	c.issueK, c.parkK = c.issue, c.park
+	for h.svc.Primary(c.key) != h.servers[1] {
+		c.key++ // the client shares node 0 with server 0; make the primary remote
+	}
+	h.svc.OnReply = func(int, kv.Op, int64, int64) {
+		c.replies++
+		h.eng.WakeTask(c.t)
+	}
+	h.eng.SpawnTaskDaemon("client.recv", func(tk *sim.Task) {
+		h.client.ServeWhileTask(tk, func() bool { return false })
+	})
+	h.eng.SpawnTaskDaemon("client.issue", func(tk *sim.Task) {
+		c.t = tk
+		c.issue()
+	})
+
+	window := sim.Millisecond
+	if err := h.eng.RunUntil(window); err != nil {
+		t.Fatal(err)
+	}
+	if c.replies == 0 {
+		t.Fatal("warmup completed no requests")
+	}
+	before := c.replies
+	if got := testing.AllocsPerRun(100, func() {
+		if err := h.eng.RunUntil(h.eng.Now() + window); err != nil {
+			t.Fatal(err)
+		}
+	}); got != 0 {
+		t.Errorf("steady-state replicated PUT/GET: %v allocs/window, want 0", got)
+	}
+	if c.replies == before {
+		t.Fatal("pinned windows completed no requests")
+	}
+	if h.svc.Replicated() == 0 {
+		t.Fatal("no follower writes: replication did not run")
+	}
+	h.eng.Shutdown()
+}

@@ -325,6 +325,23 @@ type CPU struct {
 	steal       sim.Time // stolen during the current compute interval
 	stolenTotal sim.Time
 	busyTotal   sim.Time
+
+	// frames recycles ComputeTask's in-flight intervals. Tasks sharing a
+	// CPU (a client's issuer and reply receiver) can hold overlapping
+	// intervals, so each interval needs its own frame; the freelist is
+	// per CPU, so only this CPU's node ever touches it.
+	frames []*computeFrame
+}
+
+// computeFrame is one ComputeTask interval in flight: its task, charged
+// total and continuation, plus the step method value bound once when the
+// frame is built, so holding for a slice allocates nothing.
+type computeFrame struct {
+	c     *CPU
+	t     *sim.Task
+	total sim.Time
+	k     func()
+	stepK func()
 }
 
 // Compute charges d time units of computation to the CPU on behalf of p,
@@ -358,23 +375,36 @@ func (c *CPU) ComputeTask(t *sim.Task, d sim.Time, k func()) {
 	}
 	c.computing = true
 	c.steal = 0
-	c.computeStep(t, d, d, k)
+	var fr *computeFrame
+	if n := len(c.frames); n > 0 {
+		fr = c.frames[n-1]
+		c.frames[n-1] = nil
+		c.frames = c.frames[:n-1]
+	} else {
+		fr = &computeFrame{c: c}
+		fr.stepK = fr.step
+	}
+	fr.t, fr.total, fr.k = t, d, k
+	t.Hold(d, fr.stepK)
 }
 
-// computeStep holds for one slice, then either extends the interval by
-// the stolen time or completes, mirroring Compute's steal loop.
-func (c *CPU) computeStep(t *sim.Task, total, remaining sim.Time, k func()) {
-	t.Hold(remaining, func() {
-		if c.steal > 0 {
-			more := c.steal
-			c.steal = 0
-			c.computeStep(t, total, more, k)
-			return
-		}
-		c.computing = false
-		c.busyTotal += total
-		k()
-	})
+// step ends one held slice: it either extends the interval by the stolen
+// time or completes, mirroring Compute's steal loop. The frame returns to
+// the freelist before k runs, so k may start the CPU's next interval.
+func (fr *computeFrame) step() {
+	c := fr.c
+	if c.steal > 0 {
+		more := c.steal
+		c.steal = 0
+		fr.t.Hold(more, fr.stepK)
+		return
+	}
+	c.computing = false
+	c.busyTotal += fr.total
+	k := fr.k
+	fr.t, fr.k = nil, nil
+	c.frames = append(c.frames, fr)
+	k()
 }
 
 // Interrupt steals cost cycles from the CPU (system-call receive path). If

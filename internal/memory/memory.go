@@ -134,9 +134,11 @@ type RQueue struct {
 	acl    map[int]bool
 	world  bool
 
-	entries  [][]byte
-	getters  []*sim.Proc
-	takers   []func([]byte)
+	// Rings, so a queue that never drains still reuses one backing
+	// array.
+	entries  ring[[]byte]
+	getters  ring[*sim.Proc]
+	takers   ring[func([]byte)]
 	eng      *sim.Engine
 	enqueued int64
 	maxDepth int
@@ -180,20 +182,16 @@ func (q *RQueue) Allowed(rank int) bool {
 // takers (remote DEQs that found the queue empty) are served first.
 func (q *RQueue) Deliver(rec []byte) {
 	q.enqueued++
-	if len(q.takers) > 0 {
-		fn := q.takers[0]
-		q.takers = q.takers[1:]
-		fn(rec)
+	if q.takers.len() > 0 {
+		q.takers.pop()(rec)
 		return
 	}
-	q.entries = append(q.entries, rec)
-	if len(q.entries) > q.maxDepth {
-		q.maxDepth = len(q.entries)
+	q.entries.push(rec)
+	if q.entries.len() > q.maxDepth {
+		q.maxDepth = q.entries.len()
 	}
-	if len(q.getters) > 0 {
-		p := q.getters[0]
-		q.getters = q.getters[1:]
-		q.eng.Wake(p)
+	if q.getters.len() > 0 {
+		q.eng.Wake(q.getters.pop())
 	}
 }
 
@@ -206,34 +204,28 @@ func (q *RQueue) TakeAsync(fn func([]byte)) {
 		fn(rec)
 		return
 	}
-	q.takers = append(q.takers, fn)
+	q.takers.push(fn)
 }
 
 // Take removes the head record, blocking p while the queue is empty.
 func (q *RQueue) Take(p *sim.Proc) []byte {
-	for len(q.entries) == 0 {
-		q.getters = append(q.getters, p)
+	for q.entries.len() == 0 {
+		q.getters.push(p)
 		p.Park()
 	}
-	rec := q.entries[0]
-	q.entries[0] = nil
-	q.entries = q.entries[1:]
-	return rec
+	return q.entries.pop()
 }
 
 // TryTake removes the head record without blocking.
 func (q *RQueue) TryTake() ([]byte, bool) {
-	if len(q.entries) == 0 {
+	if q.entries.len() == 0 {
 		return nil, false
 	}
-	rec := q.entries[0]
-	q.entries[0] = nil
-	q.entries = q.entries[1:]
-	return rec, true
+	return q.entries.pop(), true
 }
 
 // Len returns the number of queued records.
-func (q *RQueue) Len() int { return len(q.entries) }
+func (q *RQueue) Len() int { return q.entries.len() }
 
 // Enqueued returns the total number of records ever delivered.
 func (q *RQueue) Enqueued() int64 { return q.enqueued }
@@ -371,4 +363,34 @@ func (r *Registry) CheckQueue(rank int, ref QueueRef, op string) (*RQueue, error
 		return nil, &Fault{Rank: rank, Seg: ASID(ref.ID), Op: op, Why: "queue permission denied"}
 	}
 	return q, nil
+}
+
+// ring is an unbounded FIFO over a circular buffer that doubles when
+// full. Popped slots are zeroed so consumed items stay collectable.
+type ring[T any] struct {
+	buf  []T
+	head int
+	n    int
+}
+
+func (r *ring[T]) len() int { return r.n }
+
+func (r *ring[T]) push(v T) {
+	if r.n == len(r.buf) {
+		grown := make([]T, max(4, 2*len(r.buf)))
+		k := copy(grown, r.buf[r.head:])
+		copy(grown[k:], r.buf[:r.head])
+		r.buf, r.head = grown, 0
+	}
+	r.buf[(r.head+r.n)%len(r.buf)] = v
+	r.n++
+}
+
+func (r *ring[T]) pop() T {
+	v := r.buf[r.head]
+	var zero T
+	r.buf[r.head] = zero
+	r.head = (r.head + 1) % len(r.buf)
+	r.n--
+	return v
 }

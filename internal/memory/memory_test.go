@@ -343,3 +343,51 @@ func TestPropertyQueueDeliverTakeConservation(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestQueueRingsReuseStorage: a queue that never drains, and takers
+// served in arrival order, must cycle through fixed ring storage rather
+// than re-allocating as the head advances.
+func TestQueueRingsReuseStorage(t *testing.T) {
+	q := newReg().NewQueue(0)
+	rec := make([]byte, 8)
+	for i := 0; i < 3; i++ { // a standing backlog: the queue never drains
+		q.Deliver(rec)
+	}
+	// One measured run of many cycles: amortized regrowth must show up
+	// as a nonzero total, not round away in a per-cycle average.
+	if got := testing.AllocsPerRun(1, func() {
+		for i := 0; i < 1000; i++ {
+			q.Deliver(rec)
+			if _, ok := q.TryTake(); !ok {
+				t.Fatal("backlogged queue empty")
+			}
+		}
+	}); got != 0 {
+		t.Errorf("1000 backlogged Deliver+TryTake cycles: %v allocs, want 0", got)
+	}
+	for q.Len() > 0 {
+		q.TryTake()
+	}
+
+	var order []int
+	takers := make([]func([]byte), 3)
+	for i := range takers {
+		takers[i] = func([]byte) { order = append(order, i) }
+	}
+	for round := 0; round < 4; round++ {
+		for _, fn := range takers {
+			q.TakeAsync(fn)
+		}
+		for range takers {
+			q.Deliver(rec)
+		}
+	}
+	for i, got := range order {
+		if got != i%len(takers) {
+			t.Fatalf("taker order %v: takers must be served first come, first served", order)
+		}
+	}
+	if len(order) != 4*len(takers) || q.Len() != 0 {
+		t.Fatalf("served %d takers, %d records left queued", len(order), q.Len())
+	}
+}

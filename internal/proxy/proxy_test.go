@@ -314,3 +314,56 @@ func TestSuspendEmptyQueueResume(t *testing.T) {
 		t.Fatal("phantom command after resume of empty queue")
 	}
 }
+
+// ringLen counts valid entries the slow way: the reference Len's
+// maintained count must always agree with.
+func ringLen[T any](q *CommandQueue[T]) int {
+	n := 0
+	for i := range q.ring {
+		if q.ring[i].valid {
+			n++
+		}
+	}
+	return n
+}
+
+func TestPropertyLenMatchesRingWalk(t *testing.T) {
+	// Property: after any sequence of enqueues (including ones that bounce
+	// off a full ring with ErrFull), direct dequeues, scanner dequeues and
+	// scanner crash-restarts, the O(1) Len equals a walk of the ring.
+	f := func(ops []uint8, capSeed uint8) bool {
+		capacity := 1 + int(capSeed%7)
+		s := NewScanner[int]()
+		qs := []*CommandQueue[int]{NewCommandQueue[int](0, capacity), NewCommandQueue[int](1, capacity)}
+		for _, q := range qs {
+			s.Register(q)
+		}
+		for i, op := range ops {
+			q := qs[int(op>>4)%len(qs)]
+			switch op % 5 {
+			case 0, 1:
+				err := q.Enqueue(q.Owner(), i)
+				if err == nil {
+					s.MarkNonEmpty(q.Owner())
+				} else if err != ErrFull || q.Len() != q.Cap() {
+					return false
+				}
+			case 2:
+				q.Dequeue()
+			case 3:
+				s.Next()
+			case 4:
+				s.Restart()
+			}
+			for _, q := range qs {
+				if q.Len() != ringLen(q) || q.Empty() != (q.Len() == 0) {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -62,7 +62,8 @@ type Task struct {
 	eng     *Engine
 	name    string
 	next    func()
-	run     func() // prebuilt dispatch closure: wake events carry it, so waking allocates nothing
+	run     func()        // prebuilt dispatch closure: spawn and wake events carry it, so neither allocates
+	start   func(t *Task) // the start function, until the spawn event runs it
 	daemon  bool
 	dead    bool
 	started bool
@@ -88,24 +89,33 @@ func (e *Engine) spawnTask(name string, start func(t *Task), daemon bool) *Task 
 		t.dead = true
 		return t
 	}
+	t.start = start
 	if !daemon {
 		e.live++
 	}
 	e.actors = append(e.actors, actor{t: t})
-	e.Schedule(0, func() {
-		if e.down {
-			t.dead = true
-			if !daemon {
-				e.live--
-			}
-			return
-		}
-		t.started = true
-		e.Emit(trace.KSpawn, t.name, 0)
-		start(t)
-		t.settle()
-	})
+	// The spawn event is the task's first dispatch (see begin), so it
+	// rides the prebuilt run closure instead of a closure of its own.
+	e.Schedule(0, t.run)
 	return t
+}
+
+// begin is the spawn event: it runs the start function, or — if the
+// engine was shut down first — marks the task dead without starting it.
+func (t *Task) begin() {
+	e, start := t.eng, t.start
+	t.start = nil
+	if e.down {
+		t.dead = true
+		if !t.daemon {
+			e.live--
+		}
+		return
+	}
+	t.started = true
+	e.Emit(trace.KSpawn, t.name, 0)
+	start(t)
+	t.settle()
 }
 
 // Engine returns the engine this task belongs to.
@@ -159,6 +169,10 @@ func (t *Task) end(killed int64) {
 // are dropped, matching the engine's guard against transfers to dead
 // processes.
 func (t *Task) dispatch() {
+	if t.start != nil {
+		t.begin()
+		return
+	}
 	if t.dead {
 		return
 	}

@@ -215,25 +215,46 @@ type client struct {
 	ppn     int
 	perHop  *[3]int64 // per-hop modeled request wire ns by op
 	perHopR *[3]int64 // per-hop modeled reply wire ns by op
+
+	// The issuer task and its continuation, bound once when the task
+	// starts: it fires the arrival being held for (waiting), or else
+	// steps to the next arrival once a request has been submitted.
+	t       *sim.Task
+	at      int64
+	waiting bool
+	contK   func()
 }
 
-func (c *client) issue(t *sim.Task) { c.step(t) }
+func (c *client) issue(t *sim.Task) {
+	c.t, c.contK = t, c.cont
+	c.step()
+}
 
-func (c *client) step(t *sim.Task) {
+func (c *client) cont() {
+	if c.waiting {
+		c.waiting = false
+		c.fire(c.at)
+		return
+	}
+	c.step()
+}
+
+func (c *client) step() {
 	if c.sent >= c.quota {
 		return // task settles; the receiver finishes on the last reply
 	}
 	at := c.arr.next()
 	if now := int64(c.eng.Now()); at > now {
-		t.Hold(sim.Time(at-now), func() { c.fire(t, at) })
+		c.at, c.waiting = at, true
+		c.t.Hold(sim.Time(at-now), c.contK)
 		return
 	}
 	// Behind schedule: the open-loop clock does not wait for the
 	// service, so issue immediately but timestamp the scheduled arrival.
-	c.fire(t, at)
+	c.fire(at)
 }
 
-func (c *client) fire(t *sim.Task, at int64) {
+func (c *client) fire(at int64) {
 	var flags int64
 	measured := c.sent >= c.warm
 	if measured {
@@ -254,14 +275,13 @@ func (c *client) fire(t *sim.Task, at int64) {
 	if measured && c.rec != nil {
 		flags = flight.FlagsWithID(flags, c.track(op, key, at))
 	}
-	k := func() { c.step(t) }
 	switch op {
 	case kv.OpGet:
-		c.svc.GetTask(c.port, t, key, flags, at, k)
+		c.svc.GetTask(c.port, c.t, key, flags, at, c.contK)
 	case kv.OpPut:
-		c.svc.PutTask(c.port, t, key, flags, at, k)
+		c.svc.PutTask(c.port, c.t, key, flags, at, c.contK)
 	default:
-		c.svc.ScanTask(c.port, t, key, flags, at, k)
+		c.svc.ScanTask(c.port, c.t, key, flags, at, c.contK)
 	}
 }
 
