@@ -61,6 +61,21 @@ func Scenarios() []Scenario {
 			Desc: "64B PUT ping-pong over a lossy wire (seed=1, drop=1e-3) with reliable transport, MP1",
 			Run:  faultyPingPong,
 		},
+		{
+			Name: "pingpong-hw1",
+			Desc: "64B PUT ping-pong, 2 nodes x 1 proc, HW1 (adapter protocol engine path)",
+			Run:  func(t trace.Tracer) { pingPongOn(t, "HW1") },
+		},
+		{
+			Name: "pingpong-sw1",
+			Desc: "64B PUT ping-pong, 2 nodes x 1 proc, SW1 (system-call send, interrupt receive)",
+			Run:  func(t trace.Tracer) { pingPongOn(t, "SW1") },
+		},
+		{
+			Name: "faulty-pingpong-sw1",
+			Desc: "64B PUT exchange over a corrupting wire (seed=1, corrupt=2e-2), no reliable transport, SW1",
+			Run:  faultyExchangeSW1,
+		},
 	}
 }
 
@@ -72,11 +87,15 @@ func mustArch(name string) arch.Params {
 	return a
 }
 
-// pingPong reproduces the micro-benchmark critical path: rank 0 PUTs to
-// rank 1 and waits for the return PUT, 8 round trips of 64 bytes.
-func pingPong(t trace.Tracer) {
+// pingPong reproduces the micro-benchmark critical path on MP1.
+func pingPong(t trace.Tracer) { pingPongOn(t, "MP1") }
+
+// pingPongOn runs the micro-benchmark critical path under the named
+// design point: rank 0 PUTs to rank 1 and waits for the return PUT, 8
+// round trips of 64 bytes.
+func pingPongOn(t trace.Tracer, archName string) {
 	const n, reps = 64, 8
-	a := mustArch("MP1")
+	a := mustArch(archName)
 	eng := sim.NewEngine()
 	eng.SetTracer(t)
 	cl := machine.New(eng, machine.Config{Nodes: 2, ProcsPerNode: 1}, a)
@@ -163,6 +182,48 @@ func faultyPingPong(t trace.Tracer) {
 	}
 	if err := f.RelErr(); err != nil {
 		panic("regress: faulty-pingpong transport: " + err.Error())
+	}
+}
+
+// faultyExchangeSW1 streams 64-byte PUTs both ways between two SW1 nodes
+// over a wire that corrupts a fraction of packets, with no reliable
+// transport: the receiver's integrity check discards each corrupted
+// packet and nothing retransmits it. Neither side waits on the other
+// (a lost PUT would otherwise hang the exchange), so the digest pins the
+// corrupt-packet path of the system-call design point — the KCorrupt
+// emission and its link name — alongside the surviving deliveries.
+func faultyExchangeSW1(t trace.Tracer) {
+	const n, reps = 64, 200
+	gap := 20 * sim.Microsecond
+	a := mustArch("SW1")
+	eng := sim.NewEngine()
+	eng.SetTracer(t)
+	cl := machine.New(eng, machine.Config{Nodes: 2, ProcsPerNode: 1}, a)
+	cl.SetFaultPlane(fault.NewPlane(fault.Config{Seed: 1, Corrupt: 2e-2}))
+	f := comm.New(cl)
+	reg := f.Registry()
+	segs := [2]*memory.Segment{reg.NewSegment(0, n), reg.NewSegment(1, n)}
+	segs[0].Grant(1)
+	segs[1].Grant(0)
+	for r := 0; r < 2; r++ {
+		me, peer := r, 1-r
+		rsync := reg.NewFlag(peer)
+		eng.Spawn(fmt.Sprintf("sender%d", me), func(p *sim.Proc) {
+			ep := f.Endpoint(me)
+			ep.Bind(p)
+			for i := 0; i < reps; i++ {
+				if err := ep.Put(segs[me].Addr(0), segs[peer].Addr(0), n, memory.FlagRef{}, rsync); err != nil {
+					panic(err)
+				}
+				p.Hold(gap)
+			}
+		})
+	}
+	if err := eng.Run(); err != nil {
+		panic("regress: faulty-exchange-sw1: " + err.Error())
+	}
+	if cl.Nodes[0].OutLink.Lost()+cl.Nodes[1].OutLink.Lost() == 0 {
+		panic("regress: faulty-exchange-sw1: no packet was corrupted; the scenario pins nothing")
 	}
 }
 

@@ -7,13 +7,20 @@ import (
 	"mproxy/internal/sim"
 )
 
-// diffScale picks the problem scale for the differential sweep. The full
-// preset scales prove equivalence over the exact blessed workloads; under
-// -short or the race detector (which multiplies simulation cost several
-// times over) the app-driven presets drop to test scale — the protocol
+// diffScale picks the problem scale for the differential sweep at the
+// running binary's scale: small under -short or the race detector.
+func diffScale(spec Spec) Spec { return diffScaleAt(spec, smallScale()) }
+
+// smallScale reports whether this test binary runs the reduced corpus.
+func smallScale() bool { return testing.Short() || raceEnabled }
+
+// diffScaleAt picks the problem scale for the differential sweep. The
+// full preset scales cover the exact blessed workloads; the small scale
+// (-short, or the race detector, which multiplies simulation cost several
+// times over) drops the app-driven presets to test scale — the protocol
 // paths exercised are the same, only the iteration counts shrink.
-func diffScale(spec Spec) Spec {
-	if testing.Short() || raceEnabled {
+func diffScaleAt(spec Spec, small bool) Spec {
+	if small {
 		if spec.Scale != "" || spec.Kind == KindAppsFigure8 || spec.Kind == KindAppsTable6 {
 			spec.Scale = "test"
 		}
@@ -24,7 +31,7 @@ func diffScale(spec Spec) Spec {
 	// The serving presets shrink unconditionally: the 1k-node sweeps issue
 	// over a million requests each and belong to ci.sh full, not go test.
 	// The shrunk runs still walk every protocol path (multi-switch routing,
-	// replication fan-out, open-loop pacing) in both execution modes.
+	// replication fan-out, open-loop pacing).
 	if spec.Kind == KindServing || spec.Kind == KindProxySweep {
 		if spec.Topology.Nodes > 8 {
 			spec.Topology.Nodes = 8
@@ -67,42 +74,78 @@ func runPresetInMode(t *testing.T, spec Spec, m sim.ExecMode) (Manifest, []byte)
 	return mf, buf.Bytes()
 }
 
-// TestDifferentialPresets renders every blessed preset under both
-// execution models and requires bit-identical output bytes and manifests.
-// The regress suite pins the raw event streams; this test pins the other
-// end of the stack: every table, sweep and profile the repository
-// publishes is reproduced exactly by the run-to-completion agents.
-func TestDifferentialPresets(t *testing.T) {
-	for _, name := range PresetNames() {
-		name := name
-		t.Run(name, func(t *testing.T) {
-			p, err := PresetByName(name)
-			if err != nil {
-				t.Fatal(err)
+// presetCase resolves a named preset into the spec the differential
+// corpus runs (before scaling).
+func presetCase(t *testing.T, name string) Spec {
+	t.Helper()
+	p, err := PresetByName(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := p.Spec
+	if spec.Obs.Forensics != "" {
+		// The preset's directory is relative to the repo root; write the
+		// side-channel files somewhere real instead (stdout still carries
+		// the forensics note, which names only basenames, so the output
+		// digest covers the recorder path independently of the directory).
+		spec.Obs.Forensics = t.TempDir()
+	}
+	return spec
+}
+
+// checkModes renders spec at the given scale under both execution models,
+// requires bit-identical output bytes and manifests, and checks (or, with
+// -update, records) the output digest in table.
+func checkModes(t *testing.T, table digestTable, spec Spec, small bool) {
+	t.Helper()
+	spec = diffScaleAt(spec, small)
+	spec.Normalize()
+	if err := spec.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	taskMF, taskOut := runPresetInMode(t, spec, sim.ExecTask)
+	procMF, procOut := runPresetInMode(t, spec, sim.ExecProc)
+	if !bytes.Equal(taskOut, procOut) {
+		t.Fatalf("output bytes diverge: task mode %d bytes (sha %s), proc mode %d bytes (sha %s)",
+			len(taskOut), taskMF.OutputSHA256, len(procOut), procMF.OutputSHA256)
+	}
+	if taskMF != procMF {
+		t.Fatalf("manifests diverge:\n  task mode %+v\n  proc mode %+v", taskMF, procMF)
+	}
+	table.check(t, spec.Name, small, taskMF)
+}
+
+// checkCases runs every case through checkModes — at this binary's scale,
+// or at both scales under -update — and rewrites the digest table after
+// an -update pass.
+func checkCases(t *testing.T, cases []Spec, subName func(Spec) string) {
+	table := readDigestTable(t)
+	for _, spec := range cases {
+		t.Run(subName(spec), func(t *testing.T) {
+			if *update {
+				checkModes(t, table, spec, false)
+				checkModes(t, table, spec, true)
+				return
 			}
-			spec := diffScale(p.Spec)
-			if spec.Obs.Forensics != "" {
-				// The preset's directory is relative to the repo root;
-				// write the side-channel files somewhere real instead
-				// (stdout still carries the forensics note, so the
-				// differential comparison covers the recorder path).
-				spec.Obs.Forensics = t.TempDir()
-			}
-			spec.Normalize()
-			if err := spec.Validate(); err != nil {
-				t.Fatal(err)
-			}
-			taskMF, taskOut := runPresetInMode(t, spec, sim.ExecTask)
-			procMF, procOut := runPresetInMode(t, spec, sim.ExecProc)
-			if !bytes.Equal(taskOut, procOut) {
-				t.Fatalf("output bytes diverge: task mode %d bytes (sha %s), proc mode %d bytes (sha %s)",
-					len(taskOut), taskMF.OutputSHA256, len(procOut), procMF.OutputSHA256)
-			}
-			if taskMF != procMF {
-				t.Fatalf("manifests diverge:\n  task mode %+v\n  proc mode %+v", taskMF, procMF)
-			}
+			checkModes(t, table, spec, smallScale())
 		})
 	}
+	if *update && !t.Failed() {
+		table.write(t)
+	}
+}
+
+// TestDifferentialPresets renders every blessed preset under both
+// execution models and requires bit-identical output bytes and manifests,
+// matching the digest recorded in testdata/preset_digests.txt. The
+// regress suite pins the raw event streams; this test pins the other end
+// of the stack: every table, sweep and profile the repository publishes.
+func TestDifferentialPresets(t *testing.T) {
+	var cases []Spec
+	for _, name := range PresetNames() {
+		cases = append(cases, presetCase(t, name))
+	}
+	checkCases(t, cases, func(s Spec) string { return s.Name })
 }
 
 // multiProxyServingSpec is the explicit multi-proxy open-loop case: two
@@ -122,29 +165,17 @@ func multiProxyServingSpec(sched string) Spec {
 	}
 }
 
-// TestDifferentialMultiProxyServing pins the proxy-scheduling layer's
-// cross-mode determinism where it matters most: multi-proxy nodes under
-// every policy, including the work-stealing path whose scan turns hop
-// between sibling proxies, must render bit-identically in both
-// execution modes.
+// TestDifferentialMultiProxyServing pins the proxy-scheduling layer where
+// it matters most: multi-proxy nodes under every policy, including the
+// work-stealing path whose scan turns hop between sibling proxies, must
+// render bit-identically in both execution modes and match the recorded
+// digest.
 func TestDifferentialMultiProxyServing(t *testing.T) {
+	var cases []Spec
 	for _, sched := range []string{"static", "shard", "steal"} {
-		t.Run(sched, func(t *testing.T) {
-			spec := multiProxyServingSpec(sched)
-			if err := spec.Validate(); err != nil {
-				t.Fatal(err)
-			}
-			taskMF, taskOut := runPresetInMode(t, spec, sim.ExecTask)
-			procMF, procOut := runPresetInMode(t, spec, sim.ExecProc)
-			if !bytes.Equal(taskOut, procOut) {
-				t.Fatalf("output bytes diverge: task mode %d bytes (sha %s), proc mode %d bytes (sha %s)",
-					len(taskOut), taskMF.OutputSHA256, len(procOut), procMF.OutputSHA256)
-			}
-			if taskMF != procMF {
-				t.Fatalf("manifests diverge:\n  task mode %+v\n  proc mode %+v", taskMF, procMF)
-			}
-		})
+		cases = append(cases, multiProxyServingSpec(sched))
 	}
+	checkCases(t, cases, func(s Spec) string { return s.Topology.ProxySched })
 }
 
 // runWithShards renders the spec at the requested shard count, returning
