@@ -53,7 +53,7 @@ func BenchmarkTable4Micro(b *testing.B) {
 		b.Run(a.Name, func(b *testing.B) {
 			var r micro.Table4Row
 			for i := 0; i < b.N; i++ {
-				r = micro.Table4(a)
+				r = micro.Table4(a, micro.Options{})
 			}
 			b.ReportMetric(r.PutLatency, "PUTus")
 			b.ReportMetric(r.GetLatency, "GETus")
@@ -72,7 +72,7 @@ func BenchmarkFigure7PingPong(b *testing.B) {
 		b.Run(a.Name, func(b *testing.B) {
 			var pts []micro.Point
 			for i := 0; i < b.N; i++ {
-				pts = micro.PingPongPut(a, sizes)
+				pts = micro.PingPongPut(a, sizes, micro.Options{})
 			}
 			b.ReportMetric(pts[0].Latency, "lat8B-us")
 			b.ReportMetric(pts[len(pts)-1].BW, "bw64KB-MB/s")
@@ -91,11 +91,11 @@ func BenchmarkFigure8(b *testing.B) {
 				b.Run(a.Name, func(b *testing.B) {
 					var speedup float64
 					for i := 0; i < b.N; i++ {
-						ref, err := workload.Run(spec.New(registry.Test), arch.HW1, 1, 1)
+						ref, err := workload.Run(spec.New(registry.Test), arch.HW1, machine.Config{Nodes: 1, ProcsPerNode: 1}, workload.Options{})
 						if err != nil {
 							b.Fatal(err)
 						}
-						res, err := workload.Run(spec.New(registry.Test), a, 4, 1)
+						res, err := workload.Run(spec.New(registry.Test), a, machine.Config{Nodes: 4, ProcsPerNode: 1}, workload.Options{})
 						if err != nil {
 							b.Fatal(err)
 						}
@@ -120,7 +120,7 @@ func BenchmarkTable6Traffic(b *testing.B) {
 			var res workload.Result
 			for i := 0; i < b.N; i++ {
 				var err error
-				res, err = workload.Run(spec.New(registry.Test), arch.MP1, 4, 1)
+				res, err = workload.Run(spec.New(registry.Test), arch.MP1, machine.Config{Nodes: 4, ProcsPerNode: 1}, workload.Options{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -144,7 +144,7 @@ func BenchmarkFigure9SMP(b *testing.B) {
 		b.Run(a.Name, func(b *testing.B) {
 			var res workload.Result
 			for i := 0; i < b.N; i++ {
-				res, err = workload.SMPRun(func() apps.App { return spec.New(registry.Test) }, a, 2, 4)
+				res, err = workload.Run(spec.New(registry.Test), a, machine.Config{Nodes: 2, ProcsPerNode: 4}, workload.Options{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -178,7 +178,7 @@ func BenchmarkAblationCacheUpdate(b *testing.B) {
 			a.AgentMiss = sim.Micros(missUs)
 			var put float64
 			for i := 0; i < b.N; i++ {
-				put = micro.PutLatency(a, 8)
+				put = micro.PutLatency(a, 8, micro.Options{})
 			}
 			b.ReportMetric(put, "PUTus")
 		})
@@ -194,7 +194,7 @@ func BenchmarkAblationPollingDelay(b *testing.B) {
 			a.PollBase = sim.Micros(baseUs)
 			var put float64
 			for i := 0; i < b.N; i++ {
-				put = micro.PutLatency(a, 8)
+				put = micro.PutLatency(a, 8, micro.Options{})
 			}
 			b.ReportMetric(put, "PUTus")
 		})
@@ -212,7 +212,7 @@ func BenchmarkAblationPinning(b *testing.B) {
 			a.PinPerPage = sim.Micros(pinUs)
 			var bw float64
 			for i := 0; i < b.N; i++ {
-				bw = micro.PeakBandwidth(a)
+				bw = micro.PeakBandwidth(a, micro.Options{})
 			}
 			b.ReportMetric(bw, "MB/s")
 		})
@@ -236,11 +236,11 @@ func BenchmarkAblationCPUSpeed(b *testing.B) {
 			defer func() { costmodel.Scale = old }()
 			var ratio float64
 			for i := 0; i < b.N; i++ {
-				hw, err := workload.Run(spec.New(registry.Test), arch.HW1, 4, 1)
+				hw, err := workload.Run(spec.New(registry.Test), arch.HW1, machine.Config{Nodes: 4, ProcsPerNode: 1}, workload.Options{})
 				if err != nil {
 					b.Fatal(err)
 				}
-				mp, err := workload.Run(spec.New(registry.Test), arch.MP1, 4, 1)
+				mp, err := workload.Run(spec.New(registry.Test), arch.MP1, machine.Config{Nodes: 4, ProcsPerNode: 1}, workload.Options{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -330,8 +330,8 @@ func BenchmarkAblationMultiProxy(b *testing.B) {
 		b.Run(itoa(proxies)+"proxies", func(b *testing.B) {
 			var res workload.Result
 			for i := 0; i < b.N; i++ {
-				res, err = workload.RunConfig(spec.New(registry.Test), arch.MP1,
-					machine.Config{Nodes: 2, ProcsPerNode: 4, ProxiesPerNode: proxies})
+				res, err = workload.Run(spec.New(registry.Test), arch.MP1,
+					machine.Config{Nodes: 2, ProcsPerNode: 4, ProxiesPerNode: proxies}, workload.Options{})
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -115,12 +115,17 @@ do
     fi
 done
 
-echo "== race shard (differential equivalence + parallel determinism + concurrent fabrics)"
-# TestDifferential* covers both equivalences (exec modes and sharded
-# vs sequential); TestParallel* adds the parallel driver's repeat-run
-# determinism and warn-and-fall-back contract. Under -race the detector
-# watches every cross-shard mailbox and barrier edge.
-go test -race -run 'TestDifferential|TestStealRepeatRunDigest|TestParallel|TestConcurrentFabricsDistinctQueueCaps' \
+echo "== race shard (recorded digests + parallel determinism + concurrent fabrics)"
+# TestDifferential* checks every preset against its recorded output
+# digest (TestDifferentialPresets, TestDifferentialMultiProxyServing)
+# and sharded against sequential runs (TestDifferentialParSequential);
+# TestGoldenTraces replays the regress event streams, and
+# TestDifferentialExecModes replays them on a single-threaded scheduler
+# with per-event trace delivery; TestParallel* adds
+# the parallel driver's repeat-run determinism and warn-and-fall-back
+# contract. Under -race the detector watches every cross-shard mailbox
+# and barrier edge.
+go test -race -run 'TestDifferential|TestGoldenTraces|TestStealRepeatRunDigest|TestParallel|TestConcurrentFabricsDistinctQueueCaps' \
     ./internal/regress/ ./internal/scenario/ ./internal/comm/ ./internal/workload/openloop/
 go test -race ./internal/sim/par/
 

@@ -385,7 +385,7 @@ func benchFigure8(quick bool) func(ops int64) error {
 			return fmt.Errorf("unknown arch MP1")
 		}
 		for _, nodes := range []int{1, 2, 4} {
-			if _, err := workload.Run(spec.New(scale), a, nodes, 1); err != nil {
+			if _, err := workload.Run(spec.New(scale), a, machine.Config{Nodes: nodes, ProcsPerNode: 1}, workload.Options{}); err != nil {
 				return err
 			}
 		}

@@ -7,18 +7,34 @@ import (
 	"mproxy/internal/trace"
 )
 
-// Run-to-completion protocol paths. Each agent carries one agentExec: a
-// resident continuation frame its work items run through. The frames are
-// straight CPS transcriptions of the blocking bodies in mp.go and hw.go —
-// every Hold becomes a hold(cost, pc) that parks the agent's Task and
-// resumes at the named program counter — so the two implementations emit
-// identical trace streams (the differential suite holds them to that).
+// Agent protocol paths. Each communication agent — a message proxy or a
+// custom-hardware adapter — serves its work items through one resident
+// agentExec: a continuation frame whose step method is the protocol's
+// state machine. Every cost is paid with hold(cost, pc), which parks the
+// agent's Task for that long and resumes at the named program counter.
 // One work item executes at a time per agent, which is what lets a single
 // frame serve every item with zero steady-state allocation.
+//
+// Message proxy (the pcMP states). The proxy is the node's Agent; every
+// work item is one turn of the Figure 5 dispatch loop, with costs taken
+// from the Section 4 latency model: cache misses on command-queue entries
+// and user buffers (AgentMiss, reduced by MP2's cache-update primitive),
+// uncached FIFO accesses (U), cross-memory attaches (V), fixed
+// instruction sequences scaled by the proxy's speed (us/S), and the
+// polling notice delay (P) charged by the Agent when it was idle.
+//
+// Custom hardware (the pcHW states). The node Agent models the adapter's
+// protocol engine (its message input and output logic); protection comes
+// from virtual-memory mapping, so there are no vm_att calls, no polling
+// delay and no page pinning — commands traverse the memory bus and the
+// hardware engine continuously consumes messages from the network input.
+//
+// The system-call design point has no agent: its paths (sw.go) run on the
+// issuing process and in the destination's interrupt handlers.
 
-// Program counters for agentExec.step. MP states transcribe mp.go, HW
-// states transcribe hw.go; the page-streaming states are shared (costs
-// come from arch params, the loop shape is identical).
+// Program counters for agentExec.step. The page-streaming states are
+// shared by both agents (costs come from arch params, the loop shape is
+// identical).
 const (
 	pcFinish = iota // work item complete
 	pcPagePinned
@@ -88,7 +104,7 @@ type agentExec struct {
 	box  *deqReply // current DEQ reply operand
 	nOut int       // DEQ reply payload size (min of requested and record)
 
-	// Page-streaming loop state (sendPages transcription).
+	// Page-streaming loop state (see startPages).
 	proto   packet
 	srcAddr memory.Addr
 	off     int
@@ -130,13 +146,13 @@ func (fr *agentExec) step() {
 	case pcFinish:
 		fr.finish()
 
-	// ---- shared page streaming (sendPages) ----
+	// ---- shared page streaming ----
 	case pcPagePinned:
 		fr.pagePinned()
 	case pcPageDMADone:
 		fr.pageDMADone()
 
-	// ---- message proxy: send side (mpSend) ----
+	// ---- message proxy: send side ----
 	case pcMPSend:
 		fr.mpSend()
 	case pcMPShipPIO:
@@ -157,6 +173,7 @@ func (fr *agentExec) step() {
 		}
 		f.ship(fr.node, pkt)
 		if r.kind == OpEnq && !r.fsync.Nil() {
+			// ENQ lsync: the source buffer has been transmitted.
 			fr.hold(A.AgentMiss, pcMPEnqSync)
 			return
 		}
@@ -183,7 +200,7 @@ func (fr *agentExec) step() {
 		f.ship(fr.node, pkt)
 		fr.finish()
 
-	// ---- message proxy: receive side (mpRecv) ----
+	// ---- message proxy: receive side ----
 	case pcMPPutDeposit:
 		f.depositBytes(fr.pkt.dst, fr.pkt.data)
 		f.opDone(fr.node, OpPut, fr.pkt.issued)
@@ -268,7 +285,7 @@ func (fr *agentExec) step() {
 		fr.r = r
 		fr.hold(A.AgentMiss+A.Instr(0.5)+A.VMAtt, pcMPSend)
 
-	// ---- custom hardware: send side (hwSend) ----
+	// ---- custom hardware: send side ----
 	case pcHWShipPIO:
 		r := fr.r
 		kind := pktPutData
@@ -311,7 +328,7 @@ func (fr *agentExec) step() {
 		f.ship(fr.node, pkt)
 		fr.finish()
 
-	// ---- custom hardware: receive side (hwRecv) ----
+	// ---- custom hardware: receive side ----
 	case pcHWPutDeposit:
 		f.depositBytes(fr.pkt.dst, fr.pkt.data)
 		f.opDone(fr.node, OpPut, fr.pkt.issued)
@@ -392,7 +409,9 @@ func (fr *agentExec) shipAck() {
 	fr.f.ship(fr.node, pkt)
 }
 
-// mpFinishPut transcribes finishPut: remote flag, then optional ack.
+// mpFinishPut completes a PUT deposit on the proxy: signal the remote
+// flag and, when the sender asked for local completion, return an
+// acknowledgment.
 func (fr *agentExec) mpFinishPut() {
 	if !fr.pkt.rsync.Nil() {
 		fr.hold(fr.f.A.AgentMiss, pcMPPutRsync)
@@ -410,6 +429,7 @@ func (fr *agentExec) mpFinishPutAck() {
 	fr.finish()
 }
 
+// hwFinishPut is mpFinishPut on the adapter.
 func (fr *agentExec) hwFinishPut() {
 	if !fr.pkt.rsync.Nil() {
 		fr.hold(fr.f.A.CacheMiss, pcHWPutRsync)
@@ -432,12 +452,15 @@ func (fr *agentExec) mpGetReqReply() {
 	A := fr.f.A
 	pkt := fr.pkt
 	if pkt.n <= A.PIOCutoff {
+		// Build reply: header, read the source (miss + uncached), PIO
+		// out, launch.
 		fr.hold(A.Uncached+A.Instr(0.7)+A.AgentMiss+A.Uncached+fr.f.pio(pkt.n)+A.Uncached, pcMPGetDataShip)
 		return
 	}
 	fr.hold(A.Uncached+A.Instr(0.8), pcMPGetPagesStart)
 }
 
+// hwGetReqReply is mpGetReqReply on the adapter.
 func (fr *agentExec) hwGetReqReply() {
 	A := fr.f.A
 	pkt := fr.pkt
@@ -448,10 +471,10 @@ func (fr *agentExec) hwGetReqReply() {
 	fr.hold(A.AdapterOvh, pcHWGetPagesStart)
 }
 
-// deqTake transcribes the pktDeqReq tail of mpRecv/hwRecv: copy the
-// request out of the (about to be freed) packet, then hand the reply work
-// to the requester's serving agent once a record is available. The
-// TakeAsync closure allocates, exactly as the blocking path's does.
+// deqTake finishes a DEQ request on either agent: copy the request out of
+// the (about to be freed) packet, then hand the reply work to the
+// requester's serving agent once a record is available. The TakeAsync
+// closure allocates once per DEQ.
 func (fr *agentExec) deqTake(hw bool) {
 	f := fr.f
 	q, _ := f.Cl.Reg.Queue(fr.pkt.rq)
@@ -478,7 +501,7 @@ func (fr *agentExec) shipDeqReply() {
 	fr.finish()
 }
 
-// mpSend transcribes mpSend's dispatch: one hold sized per operation, then
+// mpSend is the proxy's send dispatch: one hold sized per operation, then
 // the matching ship state.
 func (fr *agentExec) mpSend() {
 	f := fr.f
@@ -495,17 +518,19 @@ func (fr *agentExec) mpSend() {
 		// PIO: queue entries are bounded small messages.
 		fr.hold(A.Uncached+A.Instr(0.6)+A.AgentMiss+A.Uncached+f.pio(r.n)+A.Uncached, pcMPShipPIO)
 	case OpGet:
+		// Request packet: header only.
 		fr.hold(A.Uncached+A.Instr(0.7)+A.Uncached, pcMPGetReqShip)
 	case OpDeq:
 		fr.hold(A.Uncached+A.Instr(0.7)+A.Uncached, pcMPDeqReqShip)
 	}
 }
 
-// ---- page streaming (sendPages transcription) ----
+// ---- page streaming ----
 
-// startPages begins streaming proto.n bytes from srcAddr page by page:
+// startPages begins streaming proto.n bytes from srcAddr page by page —
 // pin (unless Prepinned), occupy the DMA engine, cut the page through to
-// the wire — then continue at donePC.
+// the wire — then continues at donePC. This serialized per-page cycle is
+// the agents' side of sendPages (ship.go), whose cost analysis applies.
 func (fr *agentExec) startPages(proto packet, srcAddr memory.Addr, donePC int) {
 	fr.proto, fr.srcAddr, fr.off, fr.donePC = proto, srcAddr, 0, donePC
 	fr.pageLoop()
@@ -542,7 +567,7 @@ func (fr *agentExec) pageDMADone() {
 	*pg = fr.proto
 	pg.buf, pg.pooled = buf, pooled
 	pg.n = fr.chunk
-	f.readBytesInto(pg, fr.srcAddr.Plus(fr.off), fr.chunk) // read after the DMA completes, as the blocking path does
+	f.readBytesInto(pg, fr.srcAddr.Plus(fr.off), fr.chunk) // read after the DMA completes
 	pg.dst = fr.proto.dst.Plus(fr.off)
 	pg.last = fr.off+fr.chunk == fr.proto.n
 	f.shipOverlapped(fr.node, pg)
@@ -553,8 +578,9 @@ func (fr *agentExec) pageDMADone() {
 // ---- work-item entry points (Work.TFn bodies; static functions so the
 // work items themselves allocate nothing) ----
 
-// mpServiceWork is one turn of the proxy's dispatch loop: scan, dequeue,
-// decode, send (proxyServiceOne's transcription).
+// mpServiceWork is one turn of the proxy's dispatch loop: scan the
+// registered command queues round-robin, dequeue, decode, attach the
+// user's address space, and dispatch to the send path.
 func mpServiceWork(a *machine.Agent, _ any) {
 	fr := a.Exec().(*agentExec)
 	f := fr.f
@@ -571,8 +597,8 @@ func mpServiceWork(a *machine.Agent, _ any) {
 	fr.hold(A.AgentMiss+A.Instr(0.5)+A.VMAtt, pcMPSend)
 }
 
-// hwSendWork decodes the adapter command carried in the reqBox and runs
-// hwSend's transcription.
+// hwSendWork decodes the adapter command carried in the reqBox and starts
+// its send.
 func hwSendWork(a *machine.Agent, arg any) {
 	fr := a.Exec().(*agentExec)
 	box := arg.(*reqBox)
@@ -597,8 +623,8 @@ func hwSendWork(a *machine.Agent, arg any) {
 	}
 }
 
-// mpRecvWork services an arriving packet on the proxy (mpRecv's
-// transcription).
+// mpRecvWork services a packet the proxy polled from the network input
+// FIFO.
 func mpRecvWork(a *machine.Agent, arg any) {
 	fr := a.Exec().(*agentExec)
 	pkt := arg.(*packet)
@@ -607,16 +633,24 @@ func mpRecvWork(a *machine.Agent, arg any) {
 	A := f.A
 	switch pkt.kind {
 	case pktPutData:
+		// Read header (miss), decode/dispatch, vm_att, checks, read the
+		// payload (uncached + PIO), copy to destination (write miss).
 		fr.hold(A.CacheMiss+A.Instr(0.9)+A.VMAtt+A.Uncached+f.pio(pkt.n)+A.AgentMiss, pcMPPutDeposit)
 	case pktPutPage:
+		// DMA deposits the page; the proxy pays per-page bookkeeping.
 		fr.hold(A.Instr(0.3)+A.AgentMiss, pcMPPutPage)
 	case pktGetReq:
 		fr.hold(A.CacheMiss+A.Instr(1.0)+A.VMAtt, pcMPGetReqDecoded)
 	case pktGetData:
+		// Reply: read header, find the CCB, vm_att, read payload, copy to
+		// destination (write miss); setting lsync costs another write
+		// miss (pcMPGetDeposit).
 		fr.hold(A.CacheMiss+A.Instr(0.5)+A.VMAtt+A.Uncached+f.pio(pkt.n)+A.AgentMiss, pcMPGetDeposit)
 	case pktGetPage:
 		fr.hold(A.Instr(0.3)+A.AgentMiss, pcMPGetPageStep)
 	case pktEnqData:
+		// Like a PUT deposit plus the tail-pointer read/update and record
+		// bookkeeping in the owner's queue.
 		fr.hold(A.CacheMiss+A.Instr(0.9)+A.VMAtt+A.Uncached+f.pio(pkt.n)+2*A.CacheMiss+2*A.AgentMiss, pcMPEnqDeposit)
 	case pktDeqReq:
 		fr.hold(A.CacheMiss+A.Instr(0.8)+A.VMAtt, pcMPDeqReqTake)
@@ -627,8 +661,7 @@ func mpRecvWork(a *machine.Agent, arg any) {
 	}
 }
 
-// hwRecvWork services an arriving packet on the adapter (hwRecv's
-// transcription).
+// hwRecvWork services an arriving packet on the adapter's receive engine.
 func hwRecvWork(a *machine.Agent, arg any) {
 	fr := a.Exec().(*agentExec)
 	pkt := arg.(*packet)
@@ -675,6 +708,7 @@ func mpDeqReplyWork(a *machine.Agent, arg any) {
 	fr.hold(A.Uncached+A.Instr(0.5)+A.AgentMiss+fr.f.pio(n)+A.Uncached, pcMPDeqReplyShip)
 }
 
+// hwDeqReplyWork is mpDeqReplyWork on the adapter.
 func hwDeqReplyWork(a *machine.Agent, arg any) {
 	fr := a.Exec().(*agentExec)
 	box := arg.(*deqReply)

@@ -41,8 +41,8 @@ type packet struct {
 	last   bool // final page of a multi-page transfer
 
 	// buf is the packet's reusable payload store and pooled marks a packet
-	// owned by the fabric's freelist; both are used only by the
-	// run-to-completion paths (see newPacket).
+	// owned by the fabric's freelist; both are used only by the agent
+	// paths (see newPacket).
 	buf    []byte
 	pooled bool
 }
@@ -74,18 +74,19 @@ func (f *Fabric) freeReqBox(b *reqBox) {
 	f.reqFree = append(f.reqFree, b)
 }
 
-// newPacket returns a packet for transmission on link l. In task mode with
-// no reliable transport and no fault plane on l, packets recycle through a
+// newPacket returns a packet for an agent to transmit on link l. With no
+// reliable transport and no fault plane on l, packets recycle through a
 // freelist: exactly one receive work item consumes each delivery (no Dup,
 // no retransmission buffer), so the receive path can return the packet
-// once processed. Otherwise — proc mode, rel (which retains payloads for
+// once processed. Otherwise — rel (which retains payloads for
 // retransmission), faulty links (which may duplicate) — packets are plain
-// heap allocations left to the GC, as the blocking paths always did.
+// heap allocations left to the GC. The system-call paths allocate their
+// packets directly: no agent work item consumes them.
 func (f *Fabric) newPacket(l *machine.Link) *packet {
 	// Parallel execution disables the freelist: a packet would be taken on
 	// the sending shard and returned on the receiving one, racing on the
 	// shared pool. Plain allocations keep each shard self-contained.
-	if f.taskMode && !f.parallel && f.relE == nil && !l.Faulty() {
+	if !f.parallel && f.relE == nil && !l.Faulty() {
 		if n := len(f.pktFree); n > 0 {
 			pkt := f.pktFree[n-1]
 			f.pktFree[n-1] = nil
@@ -152,24 +153,13 @@ func (f *Fabric) ship(node *machine.Node, pkt *packet) {
 		ic.Ship(node.ID, f.nodeOf(pkt.to).ID, HeaderSize+len(pkt.data), f, pkt, false)
 		return
 	}
-	if f.taskMode {
-		node.OutLink.SendToSink(HeaderSize+len(pkt.data), f, pkt)
-		return
-	}
-	dest := f.nodeOf(pkt.to)
-	node.OutLink.SendPacket(HeaderSize+len(pkt.data), func(fate machine.PacketFate) {
-		if fate.Corrupt {
-			f.Cl.Eng.Emit(trace.KCorrupt, node.OutLink.Name(), int64(pkt.n))
-			return
-		}
-		f.deliver(dest, pkt)
-	})
+	node.OutLink.SendToSink(HeaderSize+len(pkt.data), f, pkt)
 }
 
-// DeliverPacket implements machine.PacketSink for the task-mode ship
-// paths. Every shipped packet's from rank lives on the sending node, so
-// the corrupt-trace component reconstructs to the same link name the
-// closure path captures.
+// DeliverPacket implements machine.PacketSink: the fabric is the sink of
+// every packet it ships. Every shipped packet's from rank lives on the
+// sending node (each send path, sw.go's included, sets it so), which is
+// how a corrupt packet's trace event names the link it was sent on.
 func (f *Fabric) DeliverPacket(arg any, fate machine.PacketFate) {
 	pkt := arg.(*packet)
 	if fate.Corrupt {
@@ -190,18 +180,7 @@ func (f *Fabric) shipOverlapped(node *machine.Node, pkt *packet) {
 		ic.Ship(node.ID, f.nodeOf(pkt.to).ID, HeaderSize+len(pkt.data), f, pkt, true)
 		return
 	}
-	if f.taskMode {
-		node.OutLink.SendOverlappedToSink(HeaderSize+len(pkt.data), f, pkt)
-		return
-	}
-	dest := f.nodeOf(pkt.to)
-	node.OutLink.SendPacketOverlapped(HeaderSize+len(pkt.data), func(fate machine.PacketFate) {
-		if fate.Corrupt {
-			f.Cl.Eng.Emit(trace.KCorrupt, node.OutLink.Name(), int64(pkt.n))
-			return
-		}
-		f.deliver(dest, pkt)
-	})
+	node.OutLink.SendOverlappedToSink(HeaderSize+len(pkt.data), f, pkt)
 }
 
 // deliver dispatches an arriving packet to the receiving node's agent
@@ -209,18 +188,9 @@ func (f *Fabric) shipOverlapped(node *machine.Node, pkt *packet) {
 func (f *Fabric) deliver(dest *machine.Node, pkt *packet) {
 	switch f.A.Kind {
 	case arch.Proxy:
-		ag := f.agentForRank(pkt.to)
-		if f.taskMode {
-			ag.Submit(machine.Work{TFn: mpRecvWork, Arg: pkt})
-		} else {
-			ag.Submit(machine.Work{Fn: func(ap *sim.Proc) { f.mpRecv(ap, dest, pkt) }})
-		}
+		f.agentForRank(pkt.to).Submit(machine.Work{TFn: mpRecvWork, Arg: pkt})
 	case arch.CustomHW:
-		if f.taskMode {
-			dest.Agent.Submit(machine.Work{TFn: hwRecvWork, Arg: pkt})
-		} else {
-			dest.Agent.Submit(machine.Work{Fn: func(ap *sim.Proc) { f.hwRecv(ap, dest, pkt) }})
-		}
+		dest.Agent.Submit(machine.Work{TFn: hwRecvWork, Arg: pkt})
 	case arch.Syscall:
 		f.swRecv(dest, pkt)
 	}
@@ -295,14 +265,16 @@ func (f *Fabric) depositQueue(ref memory.QueueRef, data []byte) {
 	q.Deliver(data)
 }
 
-// sendPages streams a large transfer page by page on behalf of p (the
-// sending agent, or the user process blocked in the kernel under SW). Per
-// page: dynamically pin the source and destination pages (folded into the
-// sending side, 10 us each; skipped when Prepinned), stream through the DMA
-// engine, and cut through to the wire. This serialized per-page cycle is
-// what limits software peak bandwidth to pageSize/(2*pin + page/DMABW) —
-// 86.7 MB/s at next-generation parameters versus 150 MB/s for pre-pinned
-// custom hardware (Table 4).
+// sendPages streams a large transfer page by page on behalf of p: under
+// the system-call design point, the user process blocked in the kernel or
+// the kernel thread streaming a GET reply (the agents run the same cycle
+// as a state machine, startPages in exec.go). Per page: dynamically pin
+// the source and destination pages (folded into the sending side, 10 us
+// each; skipped when Prepinned), stream through the DMA engine, and cut
+// through to the wire. This serialized per-page cycle is what limits
+// software peak bandwidth to pageSize/(2*pin + page/DMABW) — 86.7 MB/s at
+// next-generation parameters versus 150 MB/s for pre-pinned custom
+// hardware (Table 4).
 func (f *Fabric) sendPages(p *sim.Proc, node *machine.Node, proto packet, srcAddr memory.Addr) {
 	off := 0
 	for off < proto.n {

@@ -4,19 +4,16 @@ import (
 	"fmt"
 
 	"mproxy/internal/arch"
-	"mproxy/internal/machine"
 	"mproxy/internal/memory"
 	"mproxy/internal/sim"
 	"mproxy/internal/trace"
 )
 
 // Task-side submission paths. The serving workloads run every client and
-// server as a run-to-completion sim.Task in BOTH execution modes — only
-// the communication agents switch representation with the engine's
-// ExecMode — so these paths must work over either fabric flavor: the
-// pre-built ep.work item and the deliver path are already
-// mode-appropriate, and the task-side CPU charging below is mode-blind.
-// Cost accounting mirrors the blocking API call for call.
+// server as a run-to-completion sim.Task, so they submit through these
+// continuation-passing twins of the blocking Endpoint API (which the
+// applications call from Procs). Cost accounting mirrors the blocking
+// API call for call; both feed the same agents.
 
 // EnqBytesTask is EnqBytes for a run-to-completion caller: k runs once
 // the submission has been charged and handed to the send path (not when
@@ -132,14 +129,7 @@ func (fr *submitFrame) enqueueCmd() {
 
 // hwSubmit hands the command to the adapter, as submit's CustomHW branch.
 func (fr *submitFrame) hwSubmit() {
-	f, node := fr.ep.f, fr.ep.cpu.Node
-	if f.taskMode {
-		box := f.newReqBox()
-		box.r = fr.r
-		node.Agent.Submit(machine.Work{TFn: hwSendWork, Arg: box})
-	} else {
-		node.Agent.Submit(f.hwSendProcWork(node, fr.r))
-	}
+	fr.ep.f.hwSubmit(fr.ep.cpu.Node, fr.r)
 	fr.release()()
 }
 

@@ -20,10 +20,9 @@ func pinAllocs(t *testing.T, what string, fn func()) {
 }
 
 // TestAllocPinTaskAgentServe: submit → dequeue → notice → serve → done on
-// a task-mode agent must not allocate once the work FIFO has grown.
+// an agent must not allocate once the work FIFO has grown.
 func TestAllocPinTaskAgentServe(t *testing.T) {
 	eng := sim.NewEngine()
-	eng.SetExecMode(sim.ExecTask)
 	a := NewAgent(eng, "ag", 0)
 	served := 0
 	w := Work{TFn: func(a *Agent, _ any) {

@@ -116,7 +116,7 @@ func TestLinkWithoutPlaneIsClean(t *testing.T) {
 }
 
 func TestAgentStallAndRestart(t *testing.T) {
-	eachMode(t, func(t *testing.T, eng *sim.Engine) {
+	agentCase(t, func(t *testing.T, eng *sim.Engine) {
 		rec := &trace.Recorder{}
 		eng.SetTracer(rec)
 		a := NewAgent(eng, "test.proxy", 0)

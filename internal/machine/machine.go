@@ -288,7 +288,7 @@ type Node struct {
 	// the node's shard engine on a parallel cluster. Model layers must
 	// consult it (not Cluster.Eng) for anything that runs in a node's
 	// event context — clock reads, trace emissions, task wakes — so the
-	// same code is correct under both execution modes.
+	// same code is correct in sequential and parallel runs.
 	Eng     *sim.Engine
 	OutLink *Link
 	// DMA is the node's DMA engine, modeled as a zero-latency serializing
@@ -648,15 +648,15 @@ func (l *Link) dispatchSink(n int, depart sim.Time, sink PacketSink, arg any) {
 func (l *Link) Faulty() bool { return l.plane != nil }
 
 // Occupy serializes n bytes through the link on behalf of p, blocking p
-// until the transfer completes. Agents use it to stay busy for the duration
-// of a DMA page transfer.
+// until the transfer completes. The system-call design point's kernel
+// page loop uses it to stay busy for the duration of a DMA page transfer.
 func (l *Link) Occupy(p *sim.Proc, n int) {
 	f := l.eng.NewFlag()
 	l.Send(n, func() { f.Add(1) })
 	f.Wait(p, 1)
 }
 
-// OccupyTask is Occupy for a run-to-completion agent: k runs when the
+// OccupyTask is Occupy for a communication agent's task: k runs when the
 // transfer completes. Flag wiring and trace emissions match Occupy's.
 func (l *Link) OccupyTask(t *sim.Task, n int, k func()) {
 	f := l.eng.NewFlag()

@@ -8,39 +8,24 @@ import (
 	"mproxy/internal/sim"
 )
 
-// eachMode runs fn once per execution mode on a fresh engine: agent
-// behavior must be identical whether the agent is a coroutine Proc or a
-// run-to-completion Task.
-func eachMode(t *testing.T, fn func(t *testing.T, eng *sim.Engine)) {
-	for _, m := range []sim.ExecMode{sim.ExecTask, sim.ExecProc} {
-		t.Run(m.String(), func(t *testing.T) {
-			eng := sim.NewEngine()
-			eng.SetExecMode(m)
-			fn(t, eng)
-		})
-	}
+// agentCase runs fn on a fresh engine in a subtest named after the
+// agent's execution model: the service loop is a run-to-completion
+// sim.Task daemon.
+func agentCase(t *testing.T, fn func(t *testing.T, eng *sim.Engine)) {
+	t.Run("task", func(t *testing.T) { fn(t, sim.NewEngine()) })
 }
 
-// holdWork returns a dual-body Work that occupies the agent for d and then
-// calls then (if non-nil) with the completion time — the same service
-// under either execution mode.
+// holdWork returns a Work that occupies the agent for d and then calls
+// then (if non-nil) with the completion time.
 func holdWork(d sim.Time, then func(now sim.Time)) Work {
-	return Work{
-		Fn: func(q *sim.Proc) {
-			q.Hold(d)
+	return Work{TFn: func(a *Agent, _ any) {
+		a.Task().Hold(d, func() {
 			if then != nil {
-				then(q.Now())
+				then(a.eng.Now())
 			}
-		},
-		TFn: func(a *Agent, _ any) {
-			a.Task().Hold(d, func() {
-				if then != nil {
-					then(a.eng.Now())
-				}
-				a.WorkDone()
-			})
-		},
-	}
+			a.WorkDone()
+		})
+	}}
 }
 
 func TestClusterTopology(t *testing.T) {
@@ -149,8 +134,8 @@ func TestNewRejectsShardedConfig(t *testing.T) {
 }
 
 // TestNewShardedValidatesFirst: an invalid partition panics out of
-// NewSharded before any agent is constructed (under ExecProc agents own
-// goroutines, so validation must precede every spawn).
+// NewSharded before any agent is constructed (validation must precede
+// every spawn, so a rejected config leaves no model state behind).
 func TestNewShardedValidatesFirst(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -292,7 +277,7 @@ func TestLinkIdleGapNoSerializationCarry(t *testing.T) {
 }
 
 func TestAgentExecutesFIFOWithNotice(t *testing.T) {
-	eachMode(t, func(t *testing.T, eng *sim.Engine) {
+	agentCase(t, func(t *testing.T, eng *sim.Engine) {
 		a := NewAgent(eng, "proxy", sim.Micros(3))
 		var done []sim.Time
 		eng.Spawn("client", func(p *sim.Proc) {
@@ -314,7 +299,7 @@ func TestAgentExecutesFIFOWithNotice(t *testing.T) {
 }
 
 func TestAgentIdleThenNewNotice(t *testing.T) {
-	eachMode(t, func(t *testing.T, eng *sim.Engine) {
+	agentCase(t, func(t *testing.T, eng *sim.Engine) {
 		a := NewAgent(eng, "proxy", sim.Micros(3))
 		var done []sim.Time
 		eng.Spawn("client", func(p *sim.Proc) {
@@ -336,7 +321,7 @@ func TestAgentIdleThenNewNotice(t *testing.T) {
 }
 
 func TestAgentUtilization(t *testing.T) {
-	eachMode(t, func(t *testing.T, eng *sim.Engine) {
+	agentCase(t, func(t *testing.T, eng *sim.Engine) {
 		a := NewAgent(eng, "proxy", 0)
 		eng.Spawn("client", func(p *sim.Proc) {
 			a.Submit(holdWork(sim.Micros(25), nil))
@@ -352,14 +337,11 @@ func TestAgentUtilization(t *testing.T) {
 }
 
 func TestAgentShutdown(t *testing.T) {
-	eachMode(t, func(t *testing.T, eng *sim.Engine) {
+	agentCase(t, func(t *testing.T, eng *sim.Engine) {
 		a := NewAgent(eng, "proxy", 0)
 		ran := false
 		eng.Spawn("client", func(p *sim.Proc) {
-			a.Submit(Work{
-				Fn:  func(q *sim.Proc) { ran = true },
-				TFn: func(ag *Agent, _ any) { ran = true; ag.WorkDone() },
-			})
+			a.Submit(Work{TFn: func(ag *Agent, _ any) { ran = true; ag.WorkDone() }})
 			p.Hold(1)
 			a.Shutdown()
 		})

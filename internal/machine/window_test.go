@@ -11,7 +11,7 @@ import (
 // must stay exact when a window boundary falls inside a work item, which is
 // the common case for long DMA-backed services.
 func TestAgentUtilizationSinceMidService(t *testing.T) {
-	eachMode(t, func(t *testing.T, eng *sim.Engine) {
+	agentCase(t, func(t *testing.T, eng *sim.Engine) {
 		a := NewAgent(eng, "ag", 0)
 		eng.Spawn("client", func(p *sim.Proc) {
 			p.Hold(100)

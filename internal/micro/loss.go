@@ -57,14 +57,9 @@ func (r *rig) lost() int64 {
 // drop rate, always through the reliable transport, so rate 0 is the
 // protocol-overhead baseline and the higher rates show pure loss
 // degradation (timeout stalls, retransmission traffic). Results are
-// deterministic in (a, seed).
-func LossSweep(a arch.Params, rates []float64, seed uint64) []LossPoint {
-	return LossSweepOpts(a, rates, seed, Options{})
-}
-
-// LossSweepOpts is LossSweep with explicit simulation options. The sweep
-// still builds its own fault plane per rate; opt.Fault is ignored.
-func LossSweepOpts(a arch.Params, rates []float64, seed uint64, opt Options) []LossPoint {
+// deterministic in (a, seed). The sweep builds its own fault plane per
+// rate; opt.Fault is ignored.
+func LossSweep(a arch.Params, rates []float64, seed uint64, opt Options) []LossPoint {
 	out := make([]LossPoint, 0, len(rates))
 	for _, rate := range rates {
 		fc := fault.Config{Seed: seed, Drop: rate}

@@ -8,8 +8,8 @@ import (
 
 func TestLossSweepDeterministicAndDegrading(t *testing.T) {
 	rates := []float64{0, 1e-2}
-	a := LossSweep(arch.MP1, rates, 3)
-	b := LossSweep(arch.MP1, rates, 3)
+	a := LossSweep(arch.MP1, rates, 3, Options{})
+	b := LossSweep(arch.MP1, rates, 3, Options{})
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("sweep not deterministic at rate %g: %+v vs %+v", rates[i], a[i], b[i])
@@ -36,8 +36,8 @@ func TestLossSweepDeterministicAndDegrading(t *testing.T) {
 }
 
 func TestLossSweepSeedSensitivity(t *testing.T) {
-	a := LossSweep(arch.HW1, []float64{5e-3}, 1)[0]
-	b := LossSweep(arch.HW1, []float64{5e-3}, 2)[0]
+	a := LossSweep(arch.HW1, []float64{5e-3}, 1, Options{})[0]
+	b := LossSweep(arch.HW1, []float64{5e-3}, 2, Options{})[0]
 	if a == b {
 		t.Errorf("different seeds produced identical sweeps: %+v", a)
 	}

@@ -70,10 +70,7 @@ const reps = 32
 // PutLatency measures the mean time from submitting a one-word PUT to the
 // local synchronization flag being set (which requires the destination's
 // deposit confirmation).
-func PutLatency(a arch.Params, n int) float64 { return PutLatencyOpts(a, n, Options{}) }
-
-// PutLatencyOpts is PutLatency with explicit simulation options.
-func PutLatencyOpts(a arch.Params, n int, opt Options) float64 {
+func PutLatency(a arch.Params, n int, opt Options) float64 {
 	r := newRig(a, opt)
 	reg := r.f.Registry()
 	src := reg.NewSegment(0, n)
@@ -97,10 +94,7 @@ func PutLatencyOpts(a arch.Params, n int, opt Options) float64 {
 
 // GetLatency measures the mean time from submitting a one-word GET to the
 // local synchronization flag being set.
-func GetLatency(a arch.Params, n int) float64 { return GetLatencyOpts(a, n, Options{}) }
-
-// GetLatencyOpts is GetLatency with explicit simulation options.
-func GetLatencyOpts(a arch.Params, n int, opt Options) float64 {
+func GetLatency(a arch.Params, n int, opt Options) float64 {
 	r := newRig(a, opt)
 	reg := r.f.Registry()
 	local := reg.NewSegment(0, n)
@@ -126,10 +120,7 @@ func GetLatencyOpts(a arch.Params, n int, opt Options) float64 {
 // submitting the command plus detecting its completion (the rest of the
 // latency is overlappable with computation — except under SW, where it is
 // not, which is the paper's central point about offload).
-func PutSyncOverhead(a arch.Params) float64 { return PutSyncOverheadOpts(a, Options{}) }
-
-// PutSyncOverheadOpts is PutSyncOverhead with explicit simulation options.
-func PutSyncOverheadOpts(a arch.Params, opt Options) float64 {
+func PutSyncOverhead(a arch.Params, opt Options) float64 {
 	r := newRig(a, opt)
 	reg := r.f.Registry()
 	src := reg.NewSegment(0, 8)
@@ -153,10 +144,7 @@ func PutSyncOverheadOpts(a arch.Params, opt Options) float64 {
 
 // AMLatency measures the round trip of an am_request answered by an
 // am_reply, including handler invocation on both ends.
-func AMLatency(a arch.Params) float64 { return AMLatencyOpts(a, Options{}) }
-
-// AMLatencyOpts is AMLatency with explicit simulation options.
-func AMLatencyOpts(a arch.Params, opt Options) float64 {
+func AMLatency(a arch.Params, opt Options) float64 {
 	r := newRig(a, opt)
 	l := am.New(r.f)
 	replies := 0
@@ -187,10 +175,7 @@ func AMLatencyOpts(a arch.Params, opt Options) float64 {
 
 // PeakBandwidth streams large PUTs one way and reports delivered MB/s,
 // measured from first submission to the last byte's deposit confirmation.
-func PeakBandwidth(a arch.Params) float64 { return PeakBandwidthOpts(a, Options{}) }
-
-// PeakBandwidthOpts is PeakBandwidth with explicit simulation options.
-func PeakBandwidthOpts(a arch.Params, opt Options) float64 {
+func PeakBandwidth(a arch.Params, opt Options) float64 {
 	const msg = 256 * 1024
 	const count = 4
 	r := newRig(a, opt)
@@ -218,17 +203,14 @@ func PeakBandwidthOpts(a arch.Params, opt Options) float64 {
 }
 
 // Table4 runs all micro-benchmarks for one design point.
-func Table4(a arch.Params) Table4Row { return Table4Opts(a, Options{}) }
-
-// Table4Opts is Table4 with explicit simulation options.
-func Table4Opts(a arch.Params, opt Options) Table4Row {
+func Table4(a arch.Params, opt Options) Table4Row {
 	return Table4Row{
 		Arch:       a.Name,
-		PutLatency: PutLatencyOpts(a, 8, opt),
-		GetLatency: GetLatencyOpts(a, 8, opt),
-		PutSyncOvh: PutSyncOverheadOpts(a, opt),
-		AMLatency:  AMLatencyOpts(a, opt),
-		PeakBW:     PeakBandwidthOpts(a, opt),
+		PutLatency: PutLatency(a, 8, opt),
+		GetLatency: GetLatency(a, 8, opt),
+		PutSyncOvh: PutSyncOverhead(a, opt),
+		AMLatency:  AMLatency(a, opt),
+		PeakBW:     PeakBandwidth(a, opt),
 	}
 }
 
@@ -242,12 +224,7 @@ type Point struct {
 // PingPongPut sweeps message sizes with PUT ping-pongs: one-way latency is
 // half the round trip, and bandwidth comes from streaming back-to-back
 // PUTs of the same size.
-func PingPongPut(a arch.Params, sizes []int) []Point {
-	return PingPongPutOpts(a, sizes, Options{})
-}
-
-// PingPongPutOpts is PingPongPut with explicit simulation options.
-func PingPongPutOpts(a arch.Params, sizes []int, opt Options) []Point {
+func PingPongPut(a arch.Params, sizes []int, opt Options) []Point {
 	out := make([]Point, 0, len(sizes))
 	for _, n := range sizes {
 		out = append(out, Point{
@@ -320,12 +297,7 @@ func putStream(a arch.Params, n int, opt Options) float64 {
 // PingPongStore sweeps message sizes with active-message bulk stores: the
 // data is PUT and a completion handler fires at the far end, which stores
 // the same amount back.
-func PingPongStore(a arch.Params, sizes []int) []Point {
-	return PingPongStoreOpts(a, sizes, Options{})
-}
-
-// PingPongStoreOpts is PingPongStore with explicit simulation options.
-func PingPongStoreOpts(a arch.Params, sizes []int, opt Options) []Point {
+func PingPongStore(a arch.Params, sizes []int, opt Options) []Point {
 	out := make([]Point, 0, len(sizes))
 	for _, n := range sizes {
 		lat, bw := storePingPong(a, n, opt)

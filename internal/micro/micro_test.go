@@ -30,7 +30,7 @@ func TestTable4AgainstPublished(t *testing.T) {
 	for _, a := range arch.All {
 		a := a
 		t.Run(a.Name, func(t *testing.T) {
-			r := Table4(a)
+			r := Table4(a, Options{})
 			w := published[a.Name]
 			within(t, "PUT latency", r.PutLatency, w[0], 0.15)
 			within(t, "GET latency", r.GetLatency, w[1], 0.15)
@@ -45,7 +45,7 @@ func TestTable4Orderings(t *testing.T) {
 	// The qualitative results the paper's analysis rests on.
 	rows := map[string]Table4Row{}
 	for _, a := range arch.All {
-		rows[a.Name] = Table4(a)
+		rows[a.Name] = Table4(a, Options{})
 	}
 	// "Message proxy latency is about 2.5 times longer than custom
 	// hardware."
@@ -93,7 +93,7 @@ func TestModelMatchesSimulatedMP0(t *testing.T) {
 	// includes it).
 	// One-way PUT latency = round trip minus the ack leg; compare GET
 	// (inherently round trip) directly: model gives 29.8 us at L=1.
-	got := GetLatency(arch.MP0, 8)
+	got := GetLatency(arch.MP0, 8, Options{})
 	if math.Abs(got-29.8) > 3.0 {
 		t.Errorf("simulated MP0 GET = %.2f us, model = 29.8 us", got)
 	}
@@ -103,7 +103,7 @@ func TestFigure7Shapes(t *testing.T) {
 	sizes := []int{8, 64, 256, 1024, 4096, 16384, 65536}
 	curves := map[string][]Point{}
 	for _, a := range []arch.Params{arch.HW1, arch.MP1, arch.MP2, arch.SW1} {
-		curves[a.Name] = PingPongPut(a, sizes)
+		curves[a.Name] = PingPongPut(a, sizes, Options{})
 	}
 	// Latency grows monotonically with size; bandwidth at 64 KB far
 	// exceeds bandwidth at 8 B for every design point.
@@ -137,7 +137,7 @@ func TestFigure7Shapes(t *testing.T) {
 func TestFigure7AMStore(t *testing.T) {
 	sizes := []int{16, 256, 4096, 32768}
 	for _, a := range []arch.Params{arch.HW1, arch.MP1} {
-		pts := PingPongStore(a, sizes)
+		pts := PingPongStore(a, sizes, Options{})
 		for i := 1; i < len(pts); i++ {
 			if pts[i].Latency < pts[i-1].Latency {
 				t.Errorf("%s: AM store latency not monotone at %d bytes", a.Name, pts[i].Bytes)
@@ -152,8 +152,8 @@ func TestFigure7AMStore(t *testing.T) {
 }
 
 func TestPutLatencyGrowsWithSize(t *testing.T) {
-	small := PutLatency(arch.MP1, 8)
-	big := PutLatency(arch.MP1, 1024)
+	small := PutLatency(arch.MP1, 8, Options{})
+	big := PutLatency(arch.MP1, 1024, Options{})
 	if big <= small {
 		t.Errorf("1 KB PUT (%.1f) should exceed 8 B PUT (%.1f)", big, small)
 	}

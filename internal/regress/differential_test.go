@@ -1,49 +1,55 @@
 package regress
 
 import (
+	"runtime"
 	"testing"
 
-	"mproxy/internal/sim"
 	"mproxy/internal/trace"
 )
 
-// runScenarioInMode replays sc with the process-global default execution
-// mode pinned to m for the duration of the run. Every scenario builds its
-// own engine internally, so the default mode is the only way to steer which
-// dispatch machinery (coroutine Proc or run-to-completion Task) the
-// communication agents are built on.
-func runScenarioInMode(t *testing.T, sc Scenario, m sim.ExecMode) *trace.Digest {
+// perEvent hides a tracer's batch interface, so the engine delivers the
+// stream through one Record call per occurrence instead of staging it in
+// chunks — the path taken by live-state tracers such as the timeline
+// sampler.
+type perEvent struct{ trace.Tracer }
+
+// runScenarioSerial replays sc with per-event trace delivery while the Go
+// scheduler is held to a single OS thread, so every Proc hand-off and
+// every traced occurrence takes the other host-side path from the
+// default run.
+func runScenarioSerial(t *testing.T, sc Scenario) *trace.Digest {
 	t.Helper()
-	prev := sim.DefaultExecMode()
-	sim.SetDefaultExecMode(m)
-	defer sim.SetDefaultExecMode(prev)
-	return runScenario(t, sc)
+	prev := runtime.GOMAXPROCS(1)
+	defer runtime.GOMAXPROCS(prev)
+	d := trace.NewDigest()
+	sc.Run(perEvent{d})
+	return d
 }
 
-// TestDifferentialExecModes is the equivalence half of the run-to-completion
-// refactor: every golden scenario must produce a bit-identical event stream
-// whether the proxy scan loop, agent service loop and ship/deliver path run
-// as parked coroutines or as inline callback state machines. The golden
-// files themselves pin the stream across time; this test pins it across
-// execution models, so a Task-path cost or ordering drift cannot hide
-// behind a re-bless.
+// TestDifferentialExecModes holds every golden scenario to one event
+// stream across the host-side execution modes that must not reach the
+// model: batched versus per-event trace delivery, and a multi-threaded
+// versus a single-threaded Go scheduler under the coroutine Procs that
+// run user code. The golden files pin the stream across time; this test
+// pins it across the host's execution paths, so a batching or hand-off
+// ordering drift cannot hide behind a re-bless.
 func TestDifferentialExecModes(t *testing.T) {
 	for _, sc := range Scenarios() {
 		sc := sc
 		t.Run(sc.Name, func(t *testing.T) {
-			task := runScenarioInMode(t, sc, sim.ExecTask)
-			proc := runScenarioInMode(t, sc, sim.ExecProc)
-			if task.Count() != proc.Count() {
-				t.Fatalf("event counts diverge: task mode %d, proc mode %d",
-					task.Count(), proc.Count())
+			batched := runScenario(t, sc)
+			serial := runScenarioSerial(t, sc)
+			if batched.Count() != serial.Count() {
+				t.Fatalf("event counts diverge: batched %d, per-event serial %d",
+					batched.Count(), serial.Count())
 			}
-			if task.LastAt() != proc.LastAt() {
-				t.Fatalf("final timestamps diverge: task mode %d, proc mode %d",
-					task.LastAt(), proc.LastAt())
+			if batched.LastAt() != serial.LastAt() {
+				t.Fatalf("final timestamps diverge: batched %d, per-event serial %d",
+					batched.LastAt(), serial.LastAt())
 			}
-			if task.Sum() != proc.Sum() {
-				t.Fatalf("trace digests diverge over %d events:\n  task mode %s\n  proc mode %s",
-					task.Count(), task.Sum(), proc.Sum())
+			if batched.Sum() != serial.Sum() {
+				t.Fatalf("trace digests diverge over %d events:\n  batched           %s\n  per-event serial  %s",
+					batched.Count(), batched.Sum(), serial.Sum())
 			}
 		})
 	}

@@ -36,9 +36,10 @@ type Scenario struct {
 	Run  func(t trace.Tracer)
 }
 
-// Scenarios returns the golden-trace suite: a latency-critical
-// micro-benchmark, a proxy-contention queueing scenario, and a small
-// full-stack application run.
+// Scenarios returns the golden-trace suite: the latency-critical
+// micro-benchmark under each design point, a proxy-contention queueing
+// scenario, a small full-stack application run, and two faulty wires
+// (MP1 with the reliable transport, SW1 without it).
 func Scenarios() []Scenario {
 	return []Scenario{
 		{

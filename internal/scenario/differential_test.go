@@ -3,8 +3,6 @@ package scenario
 import (
 	"bytes"
 	"testing"
-
-	"mproxy/internal/sim"
 )
 
 // diffScale picks the problem scale for the differential sweep at the
@@ -59,21 +57,6 @@ func diffScaleAt(spec Spec, small bool) Spec {
 	return spec
 }
 
-// runPresetInMode renders the preset with the default execution mode
-// pinned to m, returning the manifest and the full output bytes.
-func runPresetInMode(t *testing.T, spec Spec, m sim.ExecMode) (Manifest, []byte) {
-	t.Helper()
-	prev := sim.DefaultExecMode()
-	sim.SetDefaultExecMode(m)
-	defer sim.SetDefaultExecMode(prev)
-	var buf bytes.Buffer
-	mf, err := Run(spec, &buf)
-	if err != nil {
-		t.Fatalf("%s mode: %v", m, err)
-	}
-	return mf, buf.Bytes()
-}
-
 // presetCase resolves a named preset into the spec the differential
 // corpus runs (before scaling).
 func presetCase(t *testing.T, name string) Spec {
@@ -93,41 +76,32 @@ func presetCase(t *testing.T, name string) Spec {
 	return spec
 }
 
-// checkModes renders spec at the given scale under both execution models,
-// requires bit-identical output bytes and manifests, and checks (or, with
-// -update, records) the output digest in table.
-func checkModes(t *testing.T, table digestTable, spec Spec, small bool) {
+// checkRecorded renders spec once at the given scale and checks (or,
+// with -update, records) its output digest in table.
+func checkRecorded(t *testing.T, table digestTable, spec Spec, small bool) {
 	t.Helper()
 	spec = diffScaleAt(spec, small)
-	spec.Normalize()
-	if err := spec.Validate(); err != nil {
+	var buf bytes.Buffer
+	mf, err := Run(spec, &buf)
+	if err != nil {
 		t.Fatal(err)
 	}
-	taskMF, taskOut := runPresetInMode(t, spec, sim.ExecTask)
-	procMF, procOut := runPresetInMode(t, spec, sim.ExecProc)
-	if !bytes.Equal(taskOut, procOut) {
-		t.Fatalf("output bytes diverge: task mode %d bytes (sha %s), proc mode %d bytes (sha %s)",
-			len(taskOut), taskMF.OutputSHA256, len(procOut), procMF.OutputSHA256)
-	}
-	if taskMF != procMF {
-		t.Fatalf("manifests diverge:\n  task mode %+v\n  proc mode %+v", taskMF, procMF)
-	}
-	table.check(t, spec.Name, small, taskMF)
+	table.check(t, spec.Name, small, mf)
 }
 
-// checkCases runs every case through checkModes — at this binary's scale,
-// or at both scales under -update — and rewrites the digest table after
-// an -update pass.
+// checkCases runs every case through checkRecorded — at this binary's
+// scale, or at both scales under -update — and rewrites the digest table
+// after an -update pass.
 func checkCases(t *testing.T, cases []Spec, subName func(Spec) string) {
 	table := readDigestTable(t)
 	for _, spec := range cases {
 		t.Run(subName(spec), func(t *testing.T) {
 			if *update {
-				checkModes(t, table, spec, false)
-				checkModes(t, table, spec, true)
+				checkRecorded(t, table, spec, false)
+				checkRecorded(t, table, spec, true)
 				return
 			}
-			checkModes(t, table, spec, smallScale())
+			checkRecorded(t, table, spec, smallScale())
 		})
 	}
 	if *update && !t.Failed() {
@@ -135,11 +109,13 @@ func checkCases(t *testing.T, cases []Spec, subName func(Spec) string) {
 	}
 }
 
-// TestDifferentialPresets renders every blessed preset under both
-// execution models and requires bit-identical output bytes and manifests,
-// matching the digest recorded in testdata/preset_digests.txt. The
-// regress suite pins the raw event streams; this test pins the other end
-// of the stack: every table, sweep and profile the repository publishes.
+// TestDifferentialPresets renders every blessed preset once and requires
+// its output to match, byte count and SHA-256, the digest recorded in
+// testdata/preset_digests.txt. The rows were recorded while the agents
+// still had a second, coroutine implementation that reproduced every one
+// of them, so they stand in for that reference. The regress suite
+// pins the raw event streams; this test pins the other end of the stack:
+// every table, sweep and profile the repository publishes.
 func TestDifferentialPresets(t *testing.T) {
 	var cases []Spec
 	for _, name := range PresetNames() {
@@ -168,8 +144,7 @@ func multiProxyServingSpec(sched string) Spec {
 // TestDifferentialMultiProxyServing pins the proxy-scheduling layer where
 // it matters most: multi-proxy nodes under every policy, including the
 // work-stealing path whose scan turns hop between sibling proxies, must
-// render bit-identically in both execution modes and match the recorded
-// digest.
+// render their recorded digests.
 func TestDifferentialMultiProxyServing(t *testing.T) {
 	var cases []Spec
 	for _, sched := range []string{"static", "shard", "steal"} {
@@ -192,8 +167,8 @@ func runWithShards(t *testing.T, spec Spec, shards int) (Manifest, []byte) {
 }
 
 // parDiffSpecs collects the sharded-execution differential corpus: every
-// parallel-eligible preset (shrunk like the mode differential) plus the
-// explicit multi-proxy cases under each scheduling policy.
+// parallel-eligible preset (shrunk like the recorded-digest corpus) plus
+// the explicit multi-proxy cases under each scheduling policy.
 func parDiffSpecs(t *testing.T) []Spec {
 	var specs []Spec
 	for _, name := range PresetNames() {
@@ -219,9 +194,8 @@ func parDiffSpecs(t *testing.T) []Spec {
 // sequential render across the whole published surface: for every
 // parallel-eligible preset and every proxy-scheduling policy, the
 // output bytes AND the manifest must be identical at 1, 2 and 8 shards
-// to the sequential run. Combined with the mode differential above this
-// pins a three-way equivalence — one engine, P engines, and both
-// execution models all produce the same bytes.
+// to the sequential run. Combined with the recorded digests above, the
+// sharded runs reproduce the same reference bytes.
 func TestDifferentialParSequential(t *testing.T) {
 	for _, spec := range parDiffSpecs(t) {
 		t.Run(spec.Name, func(t *testing.T) {

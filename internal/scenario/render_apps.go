@@ -60,7 +60,7 @@ func renderFigure8(s Spec, opt options, w io.Writer) error {
 	for _, spec := range specApps(s) {
 		spec := spec
 		factory := func() apps.App { return spec.New(sc) }
-		curves, err := workload.SpeedupsJOpts(factory, archs, s.Procs, "HW1", s.Jobs, opt.workload())
+		curves, err := workload.SpeedupsJ(factory, archs, s.Procs, "HW1", s.Jobs, opt.workload())
 		if err != nil {
 			fmt.Fprintf(w, "%s: ERROR: %v\n", spec.Name, err)
 			continue
@@ -116,7 +116,7 @@ func renderTable6(s Spec, opt options, w io.Writer) error {
 	for _, spec := range specApps(s) {
 		for _, aname := range []string{"HW1", "MP1", "SW1"} {
 			a, _ := arch.ByName(aname)
-			res, err := workload.RunOpts(spec.New(sc), a, topo(nprocs, 1), opt.workload())
+			res, err := workload.Run(spec.New(sc), a, topo(nprocs, 1), opt.workload())
 			if err != nil {
 				fmt.Fprintf(w, "  %-12s %-5s ERROR: %v\n", spec.Name, aname, err)
 				continue

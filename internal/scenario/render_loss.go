@@ -21,7 +21,7 @@ func renderLoss(s Spec, opt options, w io.Writer) error {
 	}
 	var rows []row
 	for _, a := range specArchs(s) {
-		for _, pt := range micro.LossSweepOpts(a, s.Rates, s.Fault.Seed, opt.micro()) {
+		for _, pt := range micro.LossSweep(a, s.Rates, s.Fault.Seed, opt.micro()) {
 			rows = append(rows, row{a.Name, pt})
 		}
 	}

@@ -123,7 +123,7 @@ func renderTable4(s Spec, opt options, w io.Writer) error {
 	archs := specArchs(s)
 	rows := make([]micro.Table4Row, len(archs))
 	for i, a := range archs {
-		rows[i] = micro.Table4Opts(a, opt.micro())
+		rows[i] = micro.Table4(a, opt.micro())
 	}
 	fmt.Fprintln(w, "Table 4: micro-benchmark measurements (simulated / published)")
 	fmt.Fprintf(w, "%-16s", "Measurement")
@@ -167,8 +167,8 @@ func runSweep(archs []arch.Params, sizes []int, opt micro.Options) sweepData {
 		store: make([][]micro.Point, len(archs)),
 	}
 	for i, a := range archs {
-		sd.put[i] = micro.PingPongPutOpts(a, sd.sizes, opt)
-		sd.store[i] = micro.PingPongStoreOpts(a, sd.sizes, opt)
+		sd.put[i] = micro.PingPongPut(a, sd.sizes, opt)
+		sd.store[i] = micro.PingPongStore(a, sd.sizes, opt)
 	}
 	return sd
 }

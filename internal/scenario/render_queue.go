@@ -27,7 +27,7 @@ func renderQueue(s Spec, opt options, w io.Writer) error {
 	fmt.Fprintf(w, "  %-12s %10s %10s %9s %9s %10s %12s\n",
 		"Program", "rate op/ms", "util @1", "util @2", "util @4", "supported", "wait @2 (us)")
 	for _, spec := range specApps(s) {
-		res, err := workload.RunOpts(spec.New(sc), mp1, topo(16, 1), opt.workload())
+		res, err := workload.Run(spec.New(sc), mp1, topo(16, 1), opt.workload())
 		if err != nil {
 			fmt.Fprintf(w, "  %-12s ERROR: %v\n", spec.Name, err)
 			continue
@@ -52,8 +52,8 @@ func renderQueue(s Spec, opt options, w io.Writer) error {
 	fmt.Fprintf(w, "  %-12s %12s %12s %8s %s\n", "Program", "MP2 time ms", "SW1 time ms", "ratio", "verdict")
 	mp2 := mustArch("MP2")
 	for _, spec := range specApps(s) {
-		resMP, err1 := workload.RunOpts(spec.New(sc), mp2, topo(4, ppn), opt.workload())
-		resSW, err2 := workload.RunOpts(spec.New(sc), sw1, topo(4, ppn), opt.workload())
+		resMP, err1 := workload.Run(spec.New(sc), mp2, topo(4, ppn), opt.workload())
+		resSW, err2 := workload.Run(spec.New(sc), sw1, topo(4, ppn), opt.workload())
 		if err1 != nil || err2 != nil {
 			fmt.Fprintf(w, "  %-12s ERROR: %v %v\n", spec.Name, err1, err2)
 			continue

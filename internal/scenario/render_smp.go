@@ -43,7 +43,7 @@ func renderSMP(s Spec, opt options, w io.Writer) error {
 	for _, spec := range specApps(s) {
 		spec := spec
 		factory := func() apps.App { return spec.New(sc) }
-		ref, err := workload.RunOpts(factory(), mustArch("HW1"), topo(1, 1), opt.workload())
+		ref, err := workload.Run(factory(), mustArch("HW1"), topo(1, 1), opt.workload())
 		if err != nil {
 			fmt.Fprintf(w, "  %-12s ERROR: %v\n", spec.Name, err)
 			continue
@@ -51,7 +51,7 @@ func renderSMP(s Spec, opt options, w io.Writer) error {
 		fmt.Fprintf(w, "  %-12s", spec.Name)
 		var mp1Util, intraShare, mp1PutUs float64
 		for _, a := range archs {
-			res, err := workload.RunOpts(factory(), a,
+			res, err := workload.Run(factory(), a,
 				machine.Config{Nodes: nodes, ProcsPerNode: ppn, ProxiesPerNode: proxies}, opt.workload())
 			if err != nil {
 				fmt.Fprintf(w, " ERROR:%v", err)

@@ -133,7 +133,6 @@ type Engine struct {
 	// shut down and its actor list discarded).
 	down   bool
 	actors []actor // every spawned Proc and Task, in spawn order
-	mode   ExecMode
 
 	// tracer, when non-nil, receives one trace.Event per engine
 	// occurrence. The nil check is the entire disabled-tracer cost.
@@ -167,7 +166,7 @@ func GlobalTracerInstalled() bool { return globalTracer != nil }
 
 // NewEngine returns an engine at time zero with no pending events.
 func NewEngine() *Engine {
-	e := &Engine{mode: defaultExecMode}
+	e := &Engine{}
 	e.SetTracer(globalTracer)
 	return e
 }

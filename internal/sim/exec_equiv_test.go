@@ -10,13 +10,14 @@ import (
 	"mproxy/internal/trace"
 )
 
-// The tests below pin the central contract of the dual execution model:
-// a workload is described once, and whether each actor runs as a parked
-// coroutine (Proc) or a run-to-completion callback machine (Task) must be
-// unobservable in the trace — same events, same (at,seq) order, same
-// digest. The comm-layer differential suites prove this for the real
-// protocol paths; these property tests prove it for adversarial random
-// schedules the protocol code would never reach.
+// The tests below pin the contract that lets Procs and Tasks share one
+// engine: a workload is described once, and whether each actor runs as a
+// parked coroutine (Proc) or a run-to-completion callback machine (Task)
+// must be unobservable in the trace — same events, same (at,seq) order,
+// same digest. Applications run on Procs while communication agents run
+// as Tasks, so the two kinds interleave on every simulated message; these
+// property tests prove the interleaving for adversarial random schedules
+// the protocol code would never reach.
 
 // scriptOp is one step of a generated actor script: hold for d, or block
 // until the shared flag reaches need.

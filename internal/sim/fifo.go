@@ -2,15 +2,13 @@ package sim
 
 import "mproxy/internal/trace"
 
-// FIFO is a typed unbounded queue of T with blocking Get: the generic
-// counterpart of Queue for hot paths where boxing every item into `any`
-// costs an allocation per operation (agent work queues see one item per
-// simulated message). Its trace stream is identical to Queue's — one
-// KEnqueue per Put and one KDequeue per successful Get/TryGet, Arg being
-// the queue length after the operation — so converting a queue from Queue
-// to FIFO does not perturb golden digests.
+// FIFO is a typed unbounded queue of T whose getters are run-to-completion
+// Tasks: the communication agents' work queues, which see one item per
+// simulated message, so items are never boxed into `any`. The trace
+// stream carries one KEnqueue per Put and one KDequeue per successful
+// TryGet, Arg being the queue length after the operation.
 //
-// Storage is a head-indexed ring over one growing slice: Get clears the
+// Storage is a head-indexed ring over one growing slice: TryGet clears the
 // vacated slot (items must be GC-able once consumed) and advances head,
 // and the slice resets to its start whenever the queue drains, so a
 // steady-state producer/consumer pair reuses the same backing array
@@ -21,7 +19,7 @@ type FIFO[T any] struct {
 	name    string
 	items   []T
 	head    int
-	getters []waiter
+	getters []*Task
 }
 
 // NewFIFO returns an empty typed queue whose enqueue/dequeue operations
@@ -36,7 +34,7 @@ func (q *FIFO[T]) Name() string { return q.name }
 // Len returns the number of queued items.
 func (q *FIFO[T]) Len() int { return len(q.items) - q.head }
 
-// Put appends x and wakes the first blocked getter, if any.
+// Put appends x and wakes the first parked getter, if any.
 func (q *FIFO[T]) Put(x T) {
 	q.items = append(q.items, x)
 	q.eng.Emit(trace.KEnqueue, q.name, int64(q.Len()))
@@ -44,29 +42,19 @@ func (q *FIFO[T]) Put(x T) {
 		// Shift instead of reslicing: q.getters[1:] would walk the backing
 		// array's capacity away and force a fresh allocation on every
 		// park/wake cycle of a steady-state consumer.
-		w := q.getters[0]
+		t := q.getters[0]
 		copy(q.getters, q.getters[1:])
-		q.getters[len(q.getters)-1] = waiter{}
+		q.getters[len(q.getters)-1] = nil
 		q.getters = q.getters[:len(q.getters)-1]
-		q.eng.wakeWaiter(w)
+		q.eng.WakeTask(t)
 	}
-}
-
-// Get removes and returns the head item, blocking p while the queue is
-// empty.
-func (q *FIFO[T]) Get(p *Proc) T {
-	for q.Len() == 0 {
-		q.getters = append(q.getters, waiter{p: p})
-		p.Park()
-	}
-	return q.take()
 }
 
 // ParkGetter blocks t as a getter, running k at the next Put. k must
-// re-check the queue with TryGet — the Task counterpart of Get's re-check
-// loop, with identical park/wake trace emissions.
+// re-check the queue with TryGet: another getter woken by the same Put
+// may have taken the item first.
 func (q *FIFO[T]) ParkGetter(t *Task, k func()) {
-	q.getters = append(q.getters, waiter{t: t})
+	q.getters = append(q.getters, t)
 	t.Park(k)
 }
 

@@ -101,7 +101,7 @@ func (p *Proc) Now() Time { return p.eng.now }
 
 // Park hands control back to the engine and blocks until another process
 // or event calls Engine.Wake on this process. It is the low-level primitive
-// behind Flag, Queue and Resource; external packages may use it to build
+// behind Flag and Resource; external packages may use it to build
 // their own blocking structures.
 func (p *Proc) Park() {
 	p.eng.Emit(trace.KPark, p.name, 0)

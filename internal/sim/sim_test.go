@@ -211,13 +211,22 @@ func TestFlagMultipleWaitersFIFO(t *testing.T) {
 }
 
 func TestQueueBlockingGet(t *testing.T) {
+	// A Task parked as a FIFO getter resumes at the producer's Put.
 	e := NewEngine()
-	var got any
+	var got string
 	var at Time
-	q := e.NewQueue()
-	e.Spawn("consumer", func(p *Proc) {
-		got = q.Get(p)
-		at = p.Now()
+	q := NewFIFO[string](e, "q")
+	e.SpawnTask("consumer", func(tk *Task) {
+		var take func()
+		take = func() {
+			v, ok := q.TryGet()
+			if !ok {
+				q.ParkGetter(tk, take)
+				return
+			}
+			got, at = v, tk.Now()
+		}
+		take()
 	})
 	e.Spawn("producer", func(p *Proc) {
 		p.Hold(42)
@@ -233,18 +242,20 @@ func TestQueueBlockingGet(t *testing.T) {
 
 func TestQueueFIFOOrder(t *testing.T) {
 	e := NewEngine()
-	q := e.NewQueue()
+	q := NewFIFO[int](e, "q")
 	for i := 0; i < 5; i++ {
 		q.Put(i)
 	}
 	var got []int
-	e.Spawn("c", func(p *Proc) {
-		for i := 0; i < 5; i++ {
-			got = append(got, q.Get(p).(int))
+	for {
+		v, ok := q.TryGet()
+		if !ok {
+			break
 		}
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
+		got = append(got, v)
+	}
+	if len(got) != 5 {
+		t.Fatalf("got = %v", got)
 	}
 	for i, v := range got {
 		if v != i {
@@ -255,7 +266,7 @@ func TestQueueFIFOOrder(t *testing.T) {
 
 func TestQueueTryGet(t *testing.T) {
 	e := NewEngine()
-	q := e.NewQueue()
+	q := NewFIFO[int](e, "q")
 	if _, ok := q.TryGet(); ok {
 		t.Fatal("TryGet on empty queue succeeded")
 	}
@@ -264,7 +275,7 @@ func TestQueueTryGet(t *testing.T) {
 		t.Fatalf("Len = %d", q.Len())
 	}
 	v, ok := q.TryGet()
-	if !ok || v.(int) != 7 {
+	if !ok || v != 7 {
 		t.Fatalf("TryGet = %v, %v", v, ok)
 	}
 }
@@ -363,7 +374,8 @@ func TestDeterministicReplay(t *testing.T) {
 	run := func() string {
 		e := NewEngine()
 		r := e.NewResource("r")
-		q := e.NewQueue()
+		q := NewFIFO[int](e, "q")
+		put := e.NewFlag()
 		var b strings.Builder
 		for i := 0; i < 4; i++ {
 			i := i
@@ -371,12 +383,14 @@ func TestDeterministicReplay(t *testing.T) {
 				p.Hold(Time(i * 3))
 				r.Use(p, 7)
 				q.Put(i)
+				put.Add(1)
 				fmt.Fprintf(&b, "%d@%d;", i, p.Now())
 			})
 		}
 		e.Spawn("drain", func(p *Proc) {
 			for i := 0; i < 4; i++ {
-				v := q.Get(p)
+				put.Wait(p, int64(i+1))
+				v, _ := q.TryGet()
 				fmt.Fprintf(&b, "d%v@%d;", v, p.Now())
 			}
 		})
@@ -449,19 +463,19 @@ func TestPropertyResourceConservation(t *testing.T) {
 
 func TestSpawnDaemonExcludedFromDeadlock(t *testing.T) {
 	e := NewEngine()
-	q := e.NewQueue()
+	requests := e.NewFlag()
 	served := 0
 	// A server loop that would otherwise count as deadlocked once its
 	// clients finish.
 	e.SpawnDaemon("server", func(p *Proc) {
 		for {
-			q.Get(p)
+			requests.Wait(p, int64(served+1))
 			served++
 		}
 	})
 	e.Spawn("client", func(p *Proc) {
-		q.Put(1)
-		q.Put(2)
+		requests.Add(1)
+		requests.Add(1)
 		p.Hold(10)
 	})
 	if err := e.Run(); err != nil {
@@ -491,14 +505,14 @@ func TestShutdownReapsBlockedGoroutines(t *testing.T) {
 	before := runtime.NumGoroutine()
 	for i := 0; i < 50; i++ {
 		e := NewEngine()
-		q := e.NewQueue()
+		requests := e.NewFlag()
 		e.SpawnDaemon("server", func(p *Proc) {
-			for {
-				q.Get(p)
+			for n := int64(1); ; n++ {
+				requests.Wait(p, n)
 			}
 		})
 		e.Spawn("client", func(p *Proc) {
-			q.Put(1)
+			requests.Add(1)
 			p.Hold(5)
 		})
 		if err := e.Run(); err != nil {

@@ -1,7 +1,5 @@
 package sim
 
-import "mproxy/internal/trace"
-
 // Flag is a monotonic counter that processes can wait on. It models the
 // synchronization words the RMA/RQ primitives set on completion (lsync and
 // rsync in the paper): completion increments the counter and a waiting
@@ -62,75 +60,4 @@ func (f *Flag) WaitTask(t *Task, need int64, k func()) {
 	}
 	f.waiters = append(f.waiters, flagWaiter{waiter{t: t}, need})
 	t.Park(k)
-}
-
-// Queue is an unbounded FIFO of items with blocking Get, used for remote
-// queues and ad-hoc rendezvous. Hot paths with a single item type should
-// use the generic FIFO instead, which avoids boxing each item into `any`.
-// Storage is a head-indexed ring like FIFO's, so steady-state use reuses
-// one backing array instead of re-allocating as the head slice walks
-// forward.
-type Queue struct {
-	eng     *Engine
-	name    string
-	items   []any
-	head    int
-	getters []*Proc
-}
-
-// NewQueue returns an empty queue.
-func (e *Engine) NewQueue() *Queue { return &Queue{eng: e, name: "queue"} }
-
-// NewNamedQueue returns an empty queue whose enqueue/dequeue operations
-// appear in the trace stream under the given name.
-func (e *Engine) NewNamedQueue(name string) *Queue { return &Queue{eng: e, name: name} }
-
-// Name returns the queue's trace name.
-func (q *Queue) Name() string { return q.name }
-
-// Len returns the number of queued items.
-func (q *Queue) Len() int { return len(q.items) - q.head }
-
-// Put appends x and wakes the first blocked getter, if any.
-func (q *Queue) Put(x any) {
-	q.items = append(q.items, x)
-	q.eng.Emit(trace.KEnqueue, q.name, int64(q.Len()))
-	if len(q.getters) > 0 {
-		p := q.getters[0]
-		copy(q.getters, q.getters[1:])
-		q.getters[len(q.getters)-1] = nil
-		q.getters = q.getters[:len(q.getters)-1]
-		q.eng.Wake(p)
-	}
-}
-
-// Get removes and returns the head item, blocking p while the queue is
-// empty.
-func (q *Queue) Get(p *Proc) any {
-	for q.Len() == 0 {
-		q.getters = append(q.getters, p)
-		p.Park()
-	}
-	return q.take()
-}
-
-// TryGet removes and returns the head item without blocking. It returns
-// false if the queue is empty.
-func (q *Queue) TryGet() (any, bool) {
-	if q.Len() == 0 {
-		return nil, false
-	}
-	return q.take(), true
-}
-
-func (q *Queue) take() any {
-	x := q.items[q.head]
-	q.items[q.head] = nil
-	q.head++
-	if q.head == len(q.items) {
-		q.items = q.items[:0]
-		q.head = 0
-	}
-	q.eng.Emit(trace.KDequeue, q.name, int64(q.Len()))
-	return x
 }

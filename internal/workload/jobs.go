@@ -75,7 +75,7 @@ func RunJobs(jobs []Job, workers int) ([]Result, error) {
 					return
 				}
 				j := jobs[i]
-				res, err := RunOpts(j.Factory(), j.Arch, machine.Config{Nodes: j.Nodes, ProcsPerNode: j.PPN}, j.Opts)
+				res, err := Run(j.Factory(), j.Arch, machine.Config{Nodes: j.Nodes, ProcsPerNode: j.PPN}, j.Opts)
 				mu.Lock()
 				results[i], errs[i] = res, err
 				mu.Unlock()
@@ -92,16 +92,13 @@ func RunJobs(jobs []Job, workers int) ([]Result, error) {
 	return results, nil
 }
 
-// SpeedupsJ is Speedups over a bounded worker pool: the whole
-// (arch x procs) matrix — plus the reference cell — is dispatched as
-// independent jobs and assembled into the same curves Speedups returns.
-func SpeedupsJ(newApp func() apps.App, archs []arch.Params, procs []int, refArch string, workers int) ([]Curve, error) {
-	return SpeedupsJOpts(newApp, archs, procs, refArch, workers, Options{})
-}
-
-// SpeedupsJOpts is SpeedupsJ with explicit simulation options applied to
-// every cell of the matrix.
-func SpeedupsJOpts(newApp func() apps.App, archs []arch.Params, procs []int, refArch string, workers int, opt Options) ([]Curve, error) {
+// SpeedupsJ runs an application factory over the processor counts (one
+// compute processor per node) for each design point and normalizes to the
+// single-processor time of refArch (the paper uses T(1) on HW1). The
+// whole (arch x procs) matrix — plus the reference cell — is dispatched
+// as independent jobs over a pool of workers (see RunJobs), with opt
+// applied to every cell.
+func SpeedupsJ(newApp func() apps.App, archs []arch.Params, procs []int, refArch string, workers int, opt Options) ([]Curve, error) {
 	ref, ok := arch.ByName(refArch)
 	if !ok {
 		return nil, fmt.Errorf("unknown reference architecture %q", refArch)

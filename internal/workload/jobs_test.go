@@ -7,6 +7,7 @@ import (
 	"mproxy/internal/apps"
 	"mproxy/internal/apps/registry"
 	"mproxy/internal/arch"
+	"mproxy/internal/machine"
 	"mproxy/internal/trace"
 )
 
@@ -19,27 +20,51 @@ func factory(t *testing.T, name string) func() apps.App {
 	return func() apps.App { return spec.New(registry.Test) }
 }
 
+// serialSpeedups is the reference for the worker pool: SpeedupsJ's
+// curves computed by calling Run cell by cell on this goroutine.
+func serialSpeedups(t *testing.T, newApp func() apps.App, archs []arch.Params, procs []int, refArch string) []Curve {
+	t.Helper()
+	ref, _ := arch.ByName(refArch)
+	run := func(a arch.Params, p int) Result {
+		res, err := Run(newApp(), a, machine.Config{Nodes: p, ProcsPerNode: 1}, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	refRes := run(ref, 1)
+	var curves []Curve
+	for _, a := range archs {
+		c := Curve{App: refRes.App, Arch: a.Name}
+		for _, p := range procs {
+			res := run(a, p)
+			c.Procs = append(c.Procs, p)
+			c.Times = append(c.Times, res.Time)
+			c.Speedup = append(c.Speedup, float64(refRes.Time)/float64(res.Time))
+		}
+		curves = append(curves, c)
+	}
+	return curves
+}
+
 // TestParallelMatrixBitIdenticalToSerial is the contract of the worker
 // pool: every cell owns an independent engine, so running the Figure 8
-// matrix on 4 workers must produce byte-for-byte the curves of the serial
-// Speedups path — times, speedups, ordering, everything.
+// matrix on 4 workers must produce byte-for-byte the curves of a serial
+// run — times, speedups, ordering, everything.
 func TestParallelMatrixBitIdenticalToSerial(t *testing.T) {
 	newApp := factory(t, "Sample")
 	archs := []arch.Params{arch.HW1, arch.MP1, arch.SW1}
 	procs := []int{1, 2, 4}
 
-	serial, err := Speedups(newApp, archs, procs, "HW1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := SpeedupsJ(newApp, archs, procs, "HW1", 4)
+	serial := serialSpeedups(t, newApp, archs, procs, "HW1")
+	parallel, err := SpeedupsJ(newApp, archs, procs, "HW1", 4, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(serial, parallel) {
 		t.Fatalf("parallel curves diverge from serial:\nserial:   %+v\nparallel: %+v", serial, parallel)
 	}
-	single, err := SpeedupsJ(newApp, archs, procs, "HW1", 1)
+	single, err := SpeedupsJ(newApp, archs, procs, "HW1", 1, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

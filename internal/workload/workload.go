@@ -5,8 +5,6 @@
 package workload
 
 import (
-	"fmt"
-
 	"mproxy/internal/apps"
 	"mproxy/internal/arch"
 	"mproxy/internal/comm"
@@ -22,8 +20,7 @@ import (
 const DefaultHeapBytes = 8 << 20
 
 // Options carries per-run simulation parameters. The zero value is the
-// fault-free default configuration every test and driver used before
-// options existed, so Run(app, a, nodes, ppn) behaves unchanged.
+// fault-free default configuration.
 type Options struct {
 	// Fabric tunes the communication fabric (command-queue capacity,
 	// reliable transport).
@@ -81,20 +78,10 @@ type Result struct {
 // Procs returns the total compute processors.
 func (r Result) Procs() int { return r.Nodes * r.PPN }
 
-// Run executes one application instance on nodes x ppn processors under a
-// with default options.
-func Run(app apps.App, a arch.Params, nodes, ppn int) (Result, error) {
-	return RunOpts(app, a, machine.Config{Nodes: nodes, ProcsPerNode: ppn}, Options{})
-}
-
-// RunConfig is Run with full topology control (e.g. multiple proxies per
-// node for the Section 5.4 multi-proxy experiment).
-func RunConfig(app apps.App, a arch.Params, cfg machine.Config) (Result, error) {
-	return RunOpts(app, a, cfg, Options{})
-}
-
-// RunOpts is RunConfig with explicit simulation options.
-func RunOpts(app apps.App, a arch.Params, cfg machine.Config, opt Options) (Result, error) {
+// Run executes one application instance under design point a on the
+// topology cfg (nodes, compute processors per node, and e.g. multiple
+// proxies per node for the Section 5.4 multi-proxy experiment).
+func Run(app apps.App, a arch.Params, cfg machine.Config, opt Options) (Result, error) {
 	env := apps.NewEnvWith(cfg, a, opt.heapBytes(), opt.envOptions())
 	elapsed, err := apps.Run(env, app)
 	if err != nil {
@@ -136,47 +123,4 @@ type Curve struct {
 	Procs   []int
 	Times   []sim.Time
 	Speedup []float64 // relative to the reference T(1)
-}
-
-// Speedups runs an application factory over the processor counts for each
-// design point and normalizes to the single-processor time of refArch
-// (the paper uses T(1) on HW1).
-func Speedups(newApp func() apps.App, archs []arch.Params, procs []int, refArch string) ([]Curve, error) {
-	var t1 sim.Time
-	ref, ok := arch.ByName(refArch)
-	if !ok {
-		return nil, fmt.Errorf("unknown reference architecture %q", refArch)
-	}
-	refRes, err := Run(newApp(), ref, 1, 1)
-	if err != nil {
-		return nil, err
-	}
-	t1 = refRes.Time
-
-	var curves []Curve
-	for _, a := range archs {
-		c := Curve{App: refRes.App, Arch: a.Name}
-		for _, p := range procs {
-			res, err := Run(newApp(), a, p, 1)
-			if err != nil {
-				return nil, fmt.Errorf("%s on %s x%d: %w", refRes.App, a.Name, p, err)
-			}
-			c.Procs = append(c.Procs, p)
-			c.Times = append(c.Times, res.Time)
-			c.Speedup = append(c.Speedup, float64(t1)/float64(res.Time))
-		}
-		curves = append(curves, c)
-	}
-	return curves, nil
-}
-
-// SMPRun executes the Figure 9 configuration: SMP nodes with several
-// compute processors sharing one interface.
-func SMPRun(newApp func() apps.App, a arch.Params, nodes, ppn int) (Result, error) {
-	return Run(newApp(), a, nodes, ppn)
-}
-
-// SMPRunOpts is SMPRun with full topology control and explicit options.
-func SMPRunOpts(newApp func() apps.App, a arch.Params, cfg machine.Config, opt Options) (Result, error) {
-	return RunOpts(newApp(), a, cfg, opt)
 }

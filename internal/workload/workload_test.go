@@ -18,7 +18,7 @@ func run(t *testing.T, name string, a arch.Params, nodes, ppn int) Result {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(spec.New(registry.Test), a, nodes, ppn)
+	res, err := Run(spec.New(registry.Test), a, machine.Config{Nodes: nodes, ProcsPerNode: ppn}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,8 +67,8 @@ func TestSpeedupsHelper(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	curves, err := Speedups(func() apps.App { return spec.New(registry.Test) },
-		[]arch.Params{arch.HW1, arch.MP1}, []int{1, 2, 4}, "HW1")
+	curves, err := SpeedupsJ(func() apps.App { return spec.New(registry.Test) },
+		[]arch.Params{arch.HW1, arch.MP1}, []int{1, 2, 4}, "HW1", 1, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestSpeedupsHelper(t *testing.T) {
 	if !(curves[0].Speedup[2] > curves[0].Speedup[0]) {
 		t.Errorf("no speedup: %v", curves[0].Speedup)
 	}
-	if _, err := Speedups(nil, nil, nil, "XXX"); err == nil {
+	if _, err := SpeedupsJ(nil, nil, nil, "XXX", 1, Options{}); err == nil {
 		t.Error("unknown reference arch must fail")
 	}
 }
@@ -152,13 +152,13 @@ func TestMultipleProxiesRelieveContention(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	one, err := RunConfig(spec.New(registry.Test), arch.MP1,
-		machine.Config{Nodes: 2, ProcsPerNode: 4, ProxiesPerNode: 1})
+	one, err := Run(spec.New(registry.Test), arch.MP1,
+		machine.Config{Nodes: 2, ProcsPerNode: 4, ProxiesPerNode: 1}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	two, err := RunConfig(spec.New(registry.Test), arch.MP1,
-		machine.Config{Nodes: 2, ProcsPerNode: 4, ProxiesPerNode: 2})
+	two, err := Run(spec.New(registry.Test), arch.MP1,
+		machine.Config{Nodes: 2, ProcsPerNode: 4, ProxiesPerNode: 2}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
