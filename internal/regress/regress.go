@@ -77,6 +77,21 @@ func Scenarios() []Scenario {
 			Desc: "64B PUT exchange over a corrupting wire (seed=1, corrupt=2e-2), no reliable transport, SW1",
 			Run:  faultyExchangeSW1,
 		},
+		{
+			Name: "opmix-mp1",
+			Desc: "every primitive both ways: PIO/paged PUT with rsync and lsync acks, PIO/paged GET with rsync, ENQ lsync, remote DEQ, 2 nodes x 2 procs, MP1",
+			Run:  func(t trace.Tracer) { opMix(t, "MP1", nil) },
+		},
+		{
+			Name: "opmix-hw1",
+			Desc: "the opmix-mp1 operation mix on HW1 (adapter protocol engine path)",
+			Run:  func(t trace.Tracer) { opMix(t, "HW1", nil) },
+		},
+		{
+			Name: "faulty-opmix-mp1",
+			Desc: "the opmix-mp1 operation mix with reliable transport over a wire that drops, corrupts and duplicates (seed=3), MP1",
+			Run:  faultyOpMix,
+		},
 	}
 }
 
@@ -308,4 +323,121 @@ func appMM(t trace.Tracer) {
 	if _, err := apps.Run(env, spec.New(registry.Test)); err != nil {
 		panic("regress: app-mm: " + err.Error())
 	}
+}
+
+// opMixFaults is the wire faulty-opmix-mp1 runs over.
+var opMixFaults = fault.Config{Seed: 3, Drop: 0.03, Corrupt: 0.03, Dup: 0.03}
+
+// countingPlane tallies the fates a fault plane hands out, so a faulty
+// scenario can prove it exercised each kind of fault.
+type countingPlane struct {
+	machine.FaultPlane
+	drops, corrupts, dups int
+}
+
+func (c *countingPlane) PacketFate(link string, node int, seq uint64, now sim.Time) machine.PacketFate {
+	fate := c.FaultPlane.PacketFate(link, node, seq, now)
+	if fate.Drop {
+		c.drops++
+	}
+	if fate.Corrupt {
+		c.corrupts++
+	}
+	if fate.Dup {
+		c.dups++
+	}
+	return fate
+}
+
+// faultyOpMix is the opmix-mp1 operation mix with the reliable transport
+// over a wire that drops, corrupts and duplicates packets. It panics
+// unless every fault kind, a retransmission and a DMA-fed page frame
+// actually occurred, so its digest pins rel's overlapped and
+// retransmitted frames.
+func faultyOpMix(t trace.Tracer) {
+	plane := &countingPlane{FaultPlane: fault.NewPlane(opMixFaults)}
+	cl, f := opMix(t, "MP1", plane)
+	var pages int64
+	for _, nd := range cl.Nodes {
+		pages += nd.DMA.Packets()
+	}
+	st := f.Rel().Stats()
+	if plane.drops == 0 || plane.corrupts == 0 || plane.dups == 0 || st.Retransmits == 0 || pages == 0 {
+		panic(fmt.Sprintf("regress: faulty-opmix: the wire exercised too little: %d drops, %d corruptions, %d duplicates, %d retransmissions, %d DMA pages",
+			plane.drops, plane.corrupts, plane.dups, st.Retransmits, pages))
+	}
+}
+
+// opMix drives every agent protocol path under the named design point on
+// a 2x2 cluster. Rank 0 targets rank 2 and rank 3 targets rank 1, so both
+// nodes' agents serve the send and the receive side at once. Each rep
+// issues, back to back: a PIO PUT with rsync, a PIO PUT with an lsync
+// ack, the same two as paged (DMA) PUTs, a PIO and a paged GET each with
+// rsync at the data source, an ENQ with lsync into the partner's queue
+// and a DEQ of that record back from it. A non-nil plane turns on the
+// reliable transport over it.
+func opMix(t trace.Tracer, archName string, plane machine.FaultPlane) (*machine.Cluster, *comm.Fabric) {
+	const (
+		reps  = 2
+		small = 64
+		big   = 8192 // two pages, past every design point's PIO cutoff
+		rec   = 24
+	)
+	eng := sim.NewEngine()
+	eng.SetTracer(t)
+	cl := machine.New(eng, machine.Config{Nodes: 2, ProcsPerNode: 2}, mustArch(archName))
+	var opt comm.Options
+	if plane != nil {
+		cl.SetFaultPlane(plane)
+		opt.Rel = &rel.Config{}
+	}
+	f := comm.NewWith(cl, opt)
+	reg := f.Registry()
+	for _, pair := range [][2]int{{0, 2}, {3, 1}} {
+		me, peer := pair[0], pair[1]
+		src := reg.NewSegment(me, big)
+		dst := reg.NewSegment(peer, big)
+		src.Grant(peer)
+		dst.Grant(me)
+		rq := reg.NewQueue(peer)
+		rq.Grant(me)
+		rqRef := memory.QueueRef{Owner: peer, ID: rq.ID}
+		rsync := reg.NewFlag(peer)
+		lsync := reg.NewFlag(me)
+		none := memory.FlagRef{}
+		eng.Spawn(fmt.Sprintf("issuer%d", me), func(p *sim.Proc) {
+			ep := f.Endpoint(me)
+			ep.Bind(p)
+			must := func(err error) {
+				if err != nil {
+					panic(err)
+				}
+			}
+			var done int64
+			for r := 0; r < reps; r++ {
+				must(ep.Put(src.Addr(0), dst.Addr(0), small, none, rsync))
+				must(ep.Put(src.Addr(0), dst.Addr(0), small, lsync, none))
+				must(ep.Put(src.Addr(0), dst.Addr(0), big, none, rsync))
+				must(ep.Put(src.Addr(0), dst.Addr(0), big, lsync, none))
+				must(ep.Get(src.Addr(0), dst.Addr(0), small, lsync, rsync))
+				must(ep.Get(src.Addr(0), dst.Addr(0), big, lsync, rsync))
+				must(ep.Enq(src.Addr(0), rqRef, rec, lsync))
+				must(ep.Deq(src.Addr(0), rqRef, rec, lsync))
+				done += 6 // two PUT acks, two GETs, the ENQ and the DEQ
+				ep.WaitFlag(lsync, done)
+			}
+		})
+		eng.Spawn(fmt.Sprintf("target%d", peer), func(p *sim.Proc) {
+			ep := f.Endpoint(peer)
+			ep.Bind(p)
+			ep.WaitFlag(rsync, 4*reps) // two PUT deposits and two GET reads per rep
+		})
+	}
+	if err := eng.Run(); err != nil {
+		panic("regress: opmix: " + err.Error())
+	}
+	if err := f.RelErr(); err != nil {
+		panic("regress: opmix transport: " + err.Error())
+	}
+	return cl, f
 }
