@@ -88,6 +88,11 @@ func Scenarios() []Scenario {
 			Run:  func(t trace.Tracer) { opMix(t, "HW1", nil) },
 		},
 		{
+			Name: "steal-mp1",
+			Desc: "PUT burst on one proxy while its sibling idles, 2 nodes x 2 procs x 2 proxies, steal scheduling, MP1",
+			Run:  steal,
+		},
+		{
 			Name: "faulty-opmix-mp1",
 			Desc: "the opmix-mp1 operation mix with reliable transport over a wire that drops, corrupts and duplicates (seed=3), MP1",
 			Run:  faultyOpMix,
@@ -440,4 +445,51 @@ func opMix(t trace.Tracer, archName string, plane machine.FaultPlane) (*machine.
 		panic("regress: opmix transport: " + err.Error())
 	}
 	return cl, f
+}
+
+// steal loads one of a node's two proxies with a burst of PUTs while its
+// sibling serves a single command and then goes idle, so under the steal
+// policy the idle proxy takes stolen scan turns on its sibling's command
+// queues and the loaded proxy's own work tokens go stale. It panics if no
+// turn was stolen.
+func steal(t trace.Tracer) {
+	const (
+		burst = 8
+		n     = 64
+	)
+	eng := sim.NewEngine()
+	eng.SetTracer(t)
+	cl := machine.New(eng, machine.Config{Nodes: 2, ProcsPerNode: 2, ProxiesPerNode: 2}, mustArch("MP1"))
+	f := comm.NewWith(cl, comm.Options{ProxySched: "steal"})
+	reg := f.Registry()
+	// Ranks 0 and 1 sit on node 0's proxies 0 and 1; each PUTs to its
+	// counterpart on node 1, rank 0 a burst and rank 1 a single message.
+	for _, pair := range [][3]int{{0, 2, burst}, {1, 3, 1}} {
+		me, peer, count := pair[0], pair[1], pair[2]
+		src := reg.NewSegment(me, n)
+		dst := reg.NewSegment(peer, n)
+		dst.Grant(me)
+		rsync := reg.NewFlag(peer)
+		eng.Spawn(fmt.Sprintf("sender%d", me), func(p *sim.Proc) {
+			ep := f.Endpoint(me)
+			ep.Bind(p)
+			for i := 0; i < count; i++ {
+				if err := ep.Put(src.Addr(0), dst.Addr(0), n, memory.FlagRef{}, rsync); err != nil {
+					panic(err)
+				}
+			}
+		})
+		eng.Spawn(fmt.Sprintf("receiver%d", peer), func(p *sim.Proc) {
+			ep := f.Endpoint(peer)
+			ep.Bind(p)
+			ep.WaitFlag(rsync, int64(count))
+		})
+	}
+	if err := eng.Run(); err != nil {
+		panic("regress: steal: " + err.Error())
+	}
+	// Node 0's proxy 1 owns one command; every further item is a steal.
+	if served := cl.Nodes[0].Agents[1].Served(); served < 2 {
+		panic(fmt.Sprintf("regress: steal: the idle proxy served %d items and stole nothing", served))
+	}
 }
