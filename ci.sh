@@ -98,8 +98,7 @@ fi
 
 echo "== forensics shard (flight-recorder byte-identity)"
 # The serving-forensics bench row above bounds the recorder's overhead
-# (its BENCH_9.json baseline sits a few percent over recorder-off
-# serving-smoke);
+# (gated against its BENCH_12.json baseline like every row);
 # this shard pins its *output*: the slowest-requests table, the windowed
 # series JSON, and the Chrome exemplars must reproduce byte-identically.
 mkdir "$tmpdir/forensics"

@@ -200,6 +200,9 @@ type Fabric struct {
 	// per-node accumulators (sums and maxima commute, so the merge is
 	// deterministic).
 	lat [][opKinds]latAccum
+
+	// cost is the agents' cost schedule, derived from A (exec.go).
+	cost agentCosts
 }
 
 // New builds the fabric for cl under default Options, creating one
@@ -210,7 +213,7 @@ func New(cl *machine.Cluster) *Fabric { return NewWith(cl, Options{}) }
 
 // NewWith is New under explicit per-fabric Options.
 func NewWith(cl *machine.Cluster, opt Options) *Fabric {
-	f := &Fabric{Cl: cl, A: cl.Arch, opt: opt}
+	f := &Fabric{Cl: cl, A: cl.Arch, opt: opt, cost: agentCostsFor(cl.Arch)}
 	f.lat = make([][opKinds]latAccum, len(cl.Nodes))
 	f.sched = cl.Sched
 	if opt.ProxySched != "" {
@@ -641,9 +644,7 @@ func (ep *Endpoint) submit(r request) {
 	}
 	switch f.A.Kind {
 	case arch.Proxy:
-		// Writing the opcode and operands into the user's command queue:
-		// a read miss on the tail entry and a write miss publishing it.
-		ep.cpu.Compute(ep.proc, 2*f.A.AgentMiss+f.A.Instr(0.2))
+		ep.cpu.Compute(ep.proc, f.SubmitCost())
 		if err := ep.cmdq.Enqueue(ep.rank, r); err != nil {
 			// Queue full: the user spins until the proxy drains an entry.
 			for err != nil {
@@ -656,7 +657,7 @@ func (ep *Endpoint) submit(r request) {
 		f.scanners[node.ID][ep.proxyIdx].MarkNonEmpty(ep.cmdqIdx)
 		node.Agents[ep.proxyIdx].Submit(ep.work)
 	case arch.CustomHW:
-		ep.cpu.Compute(ep.proc, f.A.ComputeOvh)
+		ep.cpu.Compute(ep.proc, f.SubmitCost())
 		f.hwSubmit(ep.cpu.Node, r)
 	case arch.Syscall:
 		f.swSend(ep, r)

@@ -82,6 +82,8 @@ func (ep *Endpoint) TryRecvBatched(q *memory.RQueue) ([]byte, bool) {
 func (f *Fabric) SubmitCost() sim.Time {
 	switch f.A.Kind {
 	case arch.Proxy:
+		// Writing the opcode and operands into the user's command queue:
+		// a read miss on the tail entry and a write miss publishing it.
 		return 2*f.A.AgentMiss + f.A.Instr(0.2)
 	case arch.Syscall:
 		return f.A.SyscallOvh + f.A.ProtocolOvh

@@ -1,6 +1,7 @@
 package comm
 
 import (
+	"mproxy/internal/arch"
 	"mproxy/internal/machine"
 	"mproxy/internal/memory"
 	"mproxy/internal/sim"
@@ -15,77 +16,143 @@ import (
 // One work item executes at a time per agent, which is what lets a single
 // frame serve every item with zero steady-state allocation.
 //
-// Message proxy (the pcMP states). The proxy is the node's Agent; every
-// work item is one turn of the Figure 5 dispatch loop, with costs taken
-// from the Section 4 latency model: cache misses on command-queue entries
-// and user buffers (AgentMiss, reduced by MP2's cache-update primitive),
-// uncached FIFO accesses (U), cross-memory attaches (V), fixed
-// instruction sequences scaled by the proxy's speed (us/S), and the
-// polling notice delay (P) charged by the Agent when it was idle.
-//
-// Custom hardware (the pcHW states). The node Agent models the adapter's
-// protocol engine (its message input and output logic); protection comes
-// from virtual-memory mapping, so there are no vm_att calls, no polling
-// delay and no page pinning — commands traverse the memory bus and the
-// hardware engine continuously consumes messages from the network input.
+// Both agents run the same states: the message proxy and the adapter
+// speak one protocol and differ only in what each step costs, which every
+// hold reads from the fabric's agentCosts row for its design point. Two
+// things stay structural. The proxy finds its commands by scanning the
+// registered command queues (mpServiceWork, mpStealWork and pcStealScan),
+// where the adapter is handed each one (hwSendWork); and the proxy
+// decodes a GET request in software before checking its rsync, where the
+// adapter's engine checks on arrival (agentCosts.decodeGetReq).
 //
 // The system-call design point has no agent: its paths (sw.go) run on the
 // issuing process and in the destination's interrupt handlers.
 
-// Program counters for agentExec.step. The page-streaming states are
-// shared by both agents (costs come from arch params, the loop shape is
-// identical).
+// agentCosts is an agent's cost schedule: what each hold of the shared
+// state machine charges on one design point. NewWith derives it once from
+// arch.Params (agentCostsFor); pio(n) is added per packet wherever a
+// payload moves by programmed I/O.
+type agentCosts struct {
+	pioSend   sim.Time // PIO PUT or ENQ: header, source read, launch; plus pio(n)
+	pageSetup sim.Time // header and DMA setup of a paged PUT or GET reply
+	request   sim.Time // GET or DEQ request: header only
+	flag      sim.Time // writing a sync flag (lsync, rsync or fsync)
+	ack       sim.Time // building and launching a PUT ack
+	getReply  sim.Time // PIO GET reply; plus pio(n)
+	deqReply  sim.Time // DEQ reply; plus pio(n)
+	// recv is the per-kind receive cost; pio(n) is added for the kinds
+	// whose payload moves by PIO (PUT, GET, ENQ and DEQ data).
+	recv [pktAck + 1]sim.Time
+	// decodeGetReq holds recv[pktGetReq] for a software decode before a
+	// GET request's rsync check.
+	decodeGetReq bool
+}
+
+// agentCostsFor returns the cost schedule of A's communication agent
+// (zero under the system-call design point, which has none).
+func agentCostsFor(A arch.Params) agentCosts {
+	switch A.Kind {
+	case arch.Proxy:
+		// Message proxy: every work item is one turn of the Figure 5
+		// dispatch loop, with costs from the Section 4 latency model —
+		// cache misses on command-queue entries and user buffers
+		// (AgentMiss, reduced by MP2's cache-update primitive), uncached
+		// FIFO accesses (U), cross-memory attaches (V), fixed instruction
+		// sequences scaled by the proxy's speed (us/S), and the polling
+		// notice delay (P) charged by the Agent when it was idle.
+		U, M := A.Uncached, A.AgentMiss
+		c := agentCosts{
+			// Header setup, read source data (miss + uncached), PIO the
+			// payload into the output FIFO, launch. ENQ records always
+			// move by PIO: queue entries are bounded small messages.
+			pioSend:   U + A.Instr(0.6) + M + U + U,
+			pageSetup: U + A.Instr(0.8),
+			request:   U + A.Instr(0.7) + U,
+			flag:      M,
+			ack:       U + A.Instr(0.3) + U,
+			// Build reply: header, read the source (miss + uncached), PIO
+			// out, launch.
+			getReply:     U + A.Instr(0.7) + M + U + U,
+			deqReply:     U + A.Instr(0.5) + M + U,
+			decodeGetReq: true,
+		}
+		// Read header (miss), decode/dispatch, vm_att, checks, read the
+		// payload (uncached + PIO), copy to destination (write miss). A GET
+		// reply's lsync costs another write miss (the flag hold).
+		c.recv[pktPutData] = A.CacheMiss + A.Instr(0.9) + A.VMAtt + U + M
+		c.recv[pktGetData] = A.CacheMiss + A.Instr(0.5) + A.VMAtt + U + M
+		c.recv[pktDeqData] = c.recv[pktGetData]
+		// An ENQ is a PUT deposit plus the tail-pointer read/update and
+		// record bookkeeping in the owner's queue.
+		c.recv[pktEnqData] = c.recv[pktPutData] + 2*A.CacheMiss + M
+		// DMA deposits a page; the proxy pays per-page bookkeeping.
+		c.recv[pktPutPage] = A.Instr(0.3) + M
+		c.recv[pktGetPage] = c.recv[pktPutPage]
+		c.recv[pktGetReq] = A.CacheMiss + A.Instr(1.0) + A.VMAtt
+		c.recv[pktDeqReq] = A.CacheMiss + A.Instr(0.8) + A.VMAtt
+		c.recv[pktAck] = A.CacheMiss + A.Instr(0.3) + M
+		return c
+	case arch.CustomHW:
+		// Custom hardware: the agent models the adapter's protocol engine
+		// (its message input and output logic), paying AdapterOvh of
+		// engine occupancy per message. Protection comes from
+		// virtual-memory mapping, so there are no vm_att calls, no polling
+		// delay and no page pinning; commands and buffers cross the memory
+		// bus (CacheMiss) and the engine consumes the network input
+		// continuously.
+		O, M := A.AdapterOvh, A.CacheMiss
+		c := agentCosts{
+			pioSend:   O + M,
+			pageSetup: O,
+			request:   O,
+			flag:      M,
+			ack:       O,
+			getReply:  O + M,
+			deqReply:  O,
+		}
+		c.recv[pktPutData] = O + M
+		c.recv[pktGetData] = O + M
+		c.recv[pktDeqData] = O + M
+		c.recv[pktEnqData] = O + 2*M
+		c.recv[pktPutPage] = A.Instr(0.1)
+		c.recv[pktGetPage] = A.Instr(0.1)
+		c.recv[pktDeqReq] = O
+		c.recv[pktAck] = O + M
+		return c
+	}
+	return agentCosts{}
+}
+
+// Program counters for agentExec.step.
 const (
-	pcFinish = iota // work item complete
-	pcPagePinned
+	pcPagePinned = iota
 	pcPageDMADone
 
-	pcMPSend
-	pcMPShipPIO
-	pcMPEnqSync
-	pcMPPutPages
-	pcMPGetReqShip
-	pcMPDeqReqShip
-	pcMPPutDeposit
-	pcMPPutRsync
-	pcMPPutAckShip
-	pcMPPutPage
-	pcMPGetReqDecoded
-	pcMPGetReqRsync
-	pcMPGetDataShip
-	pcMPGetPagesStart
-	pcMPGetDeposit
-	pcMPGetFsync
-	pcMPGetPageStep
-	pcMPEnqDeposit
-	pcMPDeqReqTake
-	pcMPDeqReplyShip
-	pcMPDeqDeposit
-	pcMPDeqFsync
-	pcMPAck
-	pcMPStealScan
+	// send side
+	pcSend
+	pcShip
+	pcEnqSync
+	pcPutPages
 
-	pcHWShipPIO
-	pcHWEnqSync
-	pcHWPutPages
-	pcHWGetReqShip
-	pcHWDeqReqShip
-	pcHWPutDeposit
-	pcHWPutRsync
-	pcHWPutAckShip
-	pcHWPutPage
-	pcHWGetReqRsync
-	pcHWGetDataShip
-	pcHWGetPagesStart
-	pcHWGetDeposit
-	pcHWGetFsync
-	pcHWGetPageStep
-	pcHWEnqDeposit
-	pcHWDeqReqTake
-	pcHWDeqReplyShip
-	pcHWDeqDeposit
-	pcHWDeqFsync
-	pcHWAck
+	// receive side
+	pcPutDeposit
+	pcPutRsync
+	pcPutAckShip
+	pcPutPage
+	pcGetReqDecoded
+	pcGetReqRsync
+	pcGetDataShip
+	pcGetPagesStart
+	pcGetDeposit
+	pcGetPageStep
+	pcEnqDeposit
+	pcDeqReqTake
+	pcDeqReplyShip
+	pcDeqDeposit
+	pcFsync // GET and DEQ replies and PUT acks: signal fsync, finish
+
+	// proxy only: a stolen scan turn
+	pcStealScan
 )
 
 // agentExec is one agent's protocol frame.
@@ -109,7 +176,6 @@ type agentExec struct {
 	srcAddr memory.Addr
 	off     int
 	chunk   int
-	donePC  int
 }
 
 // deqReply carries a dequeued record and the request it answers from the
@@ -140,261 +206,109 @@ func (fr *agentExec) finish() {
 // step dispatches the frame's parked continuation.
 func (fr *agentExec) step() {
 	f := fr.f
-	A := f.A
+	c := &f.cost
 	reg := f.Cl.Reg
 	switch fr.pc {
-	case pcFinish:
-		fr.finish()
-
-	// ---- shared page streaming ----
+	// ---- page streaming ----
 	case pcPagePinned:
 		fr.pagePinned()
 	case pcPageDMADone:
 		fr.pageDMADone()
 
-	// ---- message proxy: send side ----
-	case pcMPSend:
-		fr.mpSend()
-	case pcMPShipPIO:
+	// ---- send side ----
+	case pcSend:
+		fr.send()
+	case pcShip:
+		// The request's one packet: PUT or ENQ data by PIO, or a GET or
+		// DEQ request (header only).
 		r := fr.r
-		kind := pktPutData
-		if r.kind == OpEnq {
-			kind = pktEnqData
-		}
-		pkt := f.newPacket(fr.node.OutLink)
-		pkt.kind, pkt.from, pkt.to, pkt.n = kind, r.from, f.targetRank(r), r.n
-		pkt.issued, pkt.dst, pkt.rq, pkt.fsync, pkt.rsync = r.issued, r.remote, r.rq, r.fsync, r.rsync
-		if r.kind == OpEnq {
+		pkt := f.newPacketWith(fr.node.OutLink, f.header(r))
+		switch r.kind {
+		case OpPut:
+			f.readSourceInto(pkt, r)
+		case OpEnq:
 			// The record is handed to the destination queue, which retains
 			// the slice: it must not alias the packet's reusable buf.
 			pkt.data = f.readSource(r)
-		} else {
-			f.readSourceInto(pkt, r)
 		}
-		f.ship(fr.node, pkt)
+		f.ship(fr.node, pkt, false)
 		if r.kind == OpEnq && !r.fsync.Nil() {
 			// ENQ lsync: the source buffer has been transmitted.
-			fr.hold(A.AgentMiss, pcMPEnqSync)
+			fr.hold(c.flag, pcEnqSync)
 			return
 		}
 		fr.finish()
-	case pcMPEnqSync:
+	case pcEnqSync:
 		reg.Signal(fr.r.fsync)
 		fr.finish()
-	case pcMPPutPages:
-		r := fr.r
-		fr.startPages(packet{kind: pktPutPage, from: r.from, to: f.targetRank(r), n: r.n,
-			issued: r.issued, dst: r.remote, fsync: r.fsync, rsync: r.rsync}, r.local, pcFinish)
-	case pcMPGetReqShip:
-		r := fr.r
-		pkt := f.newPacket(fr.node.OutLink)
-		pkt.kind, pkt.from, pkt.to, pkt.n = pktGetReq, r.from, f.targetRank(r), r.n
-		pkt.issued, pkt.src, pkt.dst, pkt.fsync, pkt.rsync = r.issued, r.remote, r.local, r.fsync, r.rsync
-		f.ship(fr.node, pkt)
-		fr.finish()
-	case pcMPDeqReqShip:
-		r := fr.r
-		pkt := f.newPacket(fr.node.OutLink)
-		pkt.kind, pkt.from, pkt.to, pkt.n = pktDeqReq, r.from, f.targetRank(r), r.n
-		pkt.issued, pkt.rq, pkt.dst, pkt.fsync = r.issued, r.rq, r.local, r.fsync
-		f.ship(fr.node, pkt)
-		fr.finish()
+	case pcPutPages:
+		fr.startPages(f.header(fr.r), fr.r.local)
 
-	// ---- message proxy: receive side ----
-	case pcMPPutDeposit:
+	// ---- receive side ----
+	case pcPutDeposit:
 		f.depositBytes(fr.pkt.dst, fr.pkt.data)
 		f.opDone(fr.node, OpPut, fr.pkt.issued)
-		fr.mpFinishPut()
-	case pcMPPutRsync:
+		fr.finishPut()
+	case pcPutRsync:
 		reg.Signal(fr.pkt.rsync)
-		fr.mpFinishPutAck()
-	case pcMPPutAckShip:
+		fr.finishPutAck()
+	case pcPutAckShip:
 		fr.shipAck()
 		fr.finish()
-	case pcMPPutPage:
+	case pcPutPage:
 		f.depositBytes(fr.pkt.dst, fr.pkt.data)
 		if fr.pkt.last {
 			f.opDone(fr.node, OpPut, fr.pkt.issued)
-			fr.mpFinishPut()
+			fr.finishPut()
 			return
 		}
 		fr.finish()
-	case pcMPGetReqDecoded:
-		if !fr.pkt.rsync.Nil() {
-			fr.hold(A.AgentMiss, pcMPGetReqRsync)
-			return
-		}
-		fr.mpGetReqReply()
-	case pcMPGetReqRsync:
+	case pcGetReqDecoded:
+		fr.getReqDecoded()
+	case pcGetReqRsync:
 		reg.Signal(fr.pkt.rsync)
-		fr.mpGetReqReply()
-	case pcMPGetDataShip:
+		fr.getReqReply()
+	case pcGetDataShip:
 		in := fr.pkt
-		pkt := f.newPacket(fr.node.OutLink)
-		pkt.kind, pkt.from, pkt.to, pkt.n = pktGetData, in.to, in.from, in.n
-		pkt.issued, pkt.dst, pkt.fsync = in.issued, in.dst, in.fsync
+		pkt := f.newPacketWith(fr.node.OutLink, reply(in, pktGetData))
 		f.readBytesInto(pkt, in.src, in.n)
-		f.ship(fr.node, pkt)
+		f.ship(fr.node, pkt, false)
 		fr.finish()
-	case pcMPGetPagesStart:
-		in := fr.pkt
-		fr.startPages(packet{kind: pktGetPage, from: in.to, to: in.from, n: in.n,
-			issued: in.issued, dst: in.dst, fsync: in.fsync}, in.src, pcFinish)
-	case pcMPGetDeposit:
+	case pcGetPagesStart:
+		fr.startPages(reply(fr.pkt, pktGetPage), fr.pkt.src)
+	case pcGetDeposit:
 		f.depositBytes(fr.pkt.dst, fr.pkt.data)
 		f.opDone(fr.node, OpGet, fr.pkt.issued)
-		fr.hold(A.AgentMiss, pcMPGetFsync)
-	case pcMPGetFsync:
-		reg.Signal(fr.pkt.fsync)
-		fr.finish()
-	case pcMPGetPageStep:
+		fr.hold(c.flag, pcFsync)
+	case pcGetPageStep:
 		f.depositBytes(fr.pkt.dst, fr.pkt.data)
 		if fr.pkt.last {
 			f.opDone(fr.node, OpGet, fr.pkt.issued)
-			fr.hold(A.AgentMiss, pcMPGetFsync)
+			fr.hold(c.flag, pcFsync)
 			return
 		}
 		fr.finish()
-	case pcMPEnqDeposit:
+	case pcEnqDeposit:
 		f.depositQueue(fr.pkt.rq, fr.pkt.data)
 		f.opDone(fr.node, OpEnq, fr.pkt.issued)
 		fr.finish()
-	case pcMPDeqReqTake:
-		fr.deqTake(false)
-	case pcMPDeqReplyShip:
+	case pcDeqReqTake:
+		fr.deqTake()
+	case pcDeqReplyShip:
 		fr.shipDeqReply()
-	case pcMPDeqDeposit:
+	case pcDeqDeposit:
 		f.depositBytes(fr.pkt.dst, fr.pkt.data)
 		f.opDone(fr.node, OpDeq, fr.pkt.issued)
-		fr.hold(A.AgentMiss, pcMPDeqFsync)
-	case pcMPDeqFsync:
+		fr.hold(c.flag, pcFsync)
+	case pcFsync:
 		reg.Signal(fr.pkt.fsync)
 		fr.finish()
-	case pcMPAck:
-		reg.Signal(fr.pkt.fsync)
-		fr.finish()
-	case pcMPStealScan:
+
+	// ---- proxy only ----
+	case pcStealScan:
 		// Stolen turn (see steal.go): the cross-queue penalty is paid,
-		// now scan the victim exactly as mpServiceWork scans home turf.
-		r, qi, ok := f.scanners[fr.node.ID][fr.stealIdx].Next()
-		if !ok {
-			fr.finish() // the victim (or another thief) got there first
-			return
-		}
-		fr.node.Eng.Emit(trace.KDequeue, f.cmdqNames[fr.node.ID][fr.stealIdx][qi], 0)
-		fr.r = r
-		fr.hold(A.AgentMiss+A.Instr(0.5)+A.VMAtt, pcMPSend)
-
-	// ---- custom hardware: send side ----
-	case pcHWShipPIO:
-		r := fr.r
-		kind := pktPutData
-		if r.kind == OpEnq {
-			kind = pktEnqData
-		}
-		pkt := f.newPacket(fr.node.OutLink)
-		pkt.kind, pkt.from, pkt.to, pkt.n = kind, r.from, f.targetRank(r), r.n
-		pkt.issued, pkt.dst, pkt.rq, pkt.fsync, pkt.rsync = r.issued, r.remote, r.rq, r.fsync, r.rsync
-		if r.kind == OpEnq {
-			pkt.data = f.readSource(r)
-		} else {
-			f.readSourceInto(pkt, r)
-		}
-		f.ship(fr.node, pkt)
-		if r.kind == OpEnq && !r.fsync.Nil() {
-			fr.hold(A.CacheMiss, pcHWEnqSync)
-			return
-		}
-		fr.finish()
-	case pcHWEnqSync:
-		reg.Signal(fr.r.fsync)
-		fr.finish()
-	case pcHWPutPages:
-		r := fr.r
-		fr.startPages(packet{kind: pktPutPage, from: r.from, to: f.targetRank(r), n: r.n,
-			issued: r.issued, dst: r.remote, fsync: r.fsync, rsync: r.rsync}, r.local, pcFinish)
-	case pcHWGetReqShip:
-		r := fr.r
-		pkt := f.newPacket(fr.node.OutLink)
-		pkt.kind, pkt.from, pkt.to, pkt.n = pktGetReq, r.from, f.targetRank(r), r.n
-		pkt.issued, pkt.src, pkt.dst, pkt.fsync, pkt.rsync = r.issued, r.remote, r.local, r.fsync, r.rsync
-		f.ship(fr.node, pkt)
-		fr.finish()
-	case pcHWDeqReqShip:
-		r := fr.r
-		pkt := f.newPacket(fr.node.OutLink)
-		pkt.kind, pkt.from, pkt.to, pkt.n = pktDeqReq, r.from, f.targetRank(r), r.n
-		pkt.issued, pkt.rq, pkt.dst, pkt.fsync = r.issued, r.rq, r.local, r.fsync
-		f.ship(fr.node, pkt)
-		fr.finish()
-
-	// ---- custom hardware: receive side ----
-	case pcHWPutDeposit:
-		f.depositBytes(fr.pkt.dst, fr.pkt.data)
-		f.opDone(fr.node, OpPut, fr.pkt.issued)
-		fr.hwFinishPut()
-	case pcHWPutRsync:
-		reg.Signal(fr.pkt.rsync)
-		fr.hwFinishPutAck()
-	case pcHWPutAckShip:
-		fr.shipAck()
-		fr.finish()
-	case pcHWPutPage:
-		f.depositBytes(fr.pkt.dst, fr.pkt.data)
-		if fr.pkt.last {
-			f.opDone(fr.node, OpPut, fr.pkt.issued)
-			fr.hwFinishPut()
-			return
-		}
-		fr.finish()
-	case pcHWGetReqRsync:
-		reg.Signal(fr.pkt.rsync)
-		fr.hwGetReqReply()
-	case pcHWGetDataShip:
-		in := fr.pkt
-		pkt := f.newPacket(fr.node.OutLink)
-		pkt.kind, pkt.from, pkt.to, pkt.n = pktGetData, in.to, in.from, in.n
-		pkt.issued, pkt.dst, pkt.fsync = in.issued, in.dst, in.fsync
-		f.readBytesInto(pkt, in.src, in.n)
-		f.ship(fr.node, pkt)
-		fr.finish()
-	case pcHWGetPagesStart:
-		in := fr.pkt
-		fr.startPages(packet{kind: pktGetPage, from: in.to, to: in.from, n: in.n,
-			issued: in.issued, dst: in.dst, fsync: in.fsync}, in.src, pcFinish)
-	case pcHWGetDeposit:
-		f.depositBytes(fr.pkt.dst, fr.pkt.data)
-		f.opDone(fr.node, OpGet, fr.pkt.issued)
-		fr.hold(A.CacheMiss, pcHWGetFsync)
-	case pcHWGetFsync:
-		reg.Signal(fr.pkt.fsync)
-		fr.finish()
-	case pcHWGetPageStep:
-		f.depositBytes(fr.pkt.dst, fr.pkt.data)
-		if fr.pkt.last {
-			f.opDone(fr.node, OpGet, fr.pkt.issued)
-			fr.hold(A.CacheMiss, pcHWGetFsync)
-			return
-		}
-		fr.finish()
-	case pcHWEnqDeposit:
-		f.depositQueue(fr.pkt.rq, fr.pkt.data)
-		f.opDone(fr.node, OpEnq, fr.pkt.issued)
-		fr.finish()
-	case pcHWDeqReqTake:
-		fr.deqTake(true)
-	case pcHWDeqReplyShip:
-		fr.shipDeqReply()
-	case pcHWDeqDeposit:
-		f.depositBytes(fr.pkt.dst, fr.pkt.data)
-		f.opDone(fr.node, OpDeq, fr.pkt.issued)
-		fr.hold(A.CacheMiss, pcHWDeqFsync)
-	case pcHWDeqFsync:
-		reg.Signal(fr.pkt.fsync)
-		fr.finish()
-	case pcHWAck:
-		reg.Signal(fr.pkt.fsync)
-		fr.finish()
+		// now scan the victim exactly as a home turn scans its own.
+		fr.scanTurn(fr.stealIdx)
 
 	default:
 		panic("comm: agentExec woke at unknown pc")
@@ -406,83 +320,57 @@ func (fr *agentExec) shipAck() {
 	in := fr.pkt
 	pkt := fr.f.newPacket(fr.node.OutLink)
 	pkt.kind, pkt.from, pkt.to, pkt.fsync = pktAck, in.to, in.from, in.fsync
-	fr.f.ship(fr.node, pkt)
+	fr.f.ship(fr.node, pkt, false)
 }
 
-// mpFinishPut completes a PUT deposit on the proxy: signal the remote
-// flag and, when the sender asked for local completion, return an
-// acknowledgment.
-func (fr *agentExec) mpFinishPut() {
+// finishPut completes a PUT deposit: signal the remote flag and, when the
+// sender asked for local completion, return an acknowledgment.
+func (fr *agentExec) finishPut() {
 	if !fr.pkt.rsync.Nil() {
-		fr.hold(fr.f.A.AgentMiss, pcMPPutRsync)
+		fr.hold(fr.f.cost.flag, pcPutRsync)
 		return
 	}
-	fr.mpFinishPutAck()
+	fr.finishPutAck()
 }
 
-func (fr *agentExec) mpFinishPutAck() {
-	A := fr.f.A
+func (fr *agentExec) finishPutAck() {
 	if !fr.pkt.fsync.Nil() {
-		fr.hold(A.Uncached+A.Instr(0.3)+A.Uncached, pcMPPutAckShip)
+		fr.hold(fr.f.cost.ack, pcPutAckShip)
 		return
 	}
 	fr.finish()
 }
 
-// hwFinishPut is mpFinishPut on the adapter.
-func (fr *agentExec) hwFinishPut() {
+// getReqDecoded signals a decoded GET request's rsync, if any, then
+// builds the reply.
+func (fr *agentExec) getReqDecoded() {
 	if !fr.pkt.rsync.Nil() {
-		fr.hold(fr.f.A.CacheMiss, pcHWPutRsync)
+		fr.hold(fr.f.cost.flag, pcGetReqRsync)
 		return
 	}
-	fr.hwFinishPutAck()
+	fr.getReqReply()
 }
 
-func (fr *agentExec) hwFinishPutAck() {
-	if !fr.pkt.fsync.Nil() {
-		fr.hold(fr.f.A.AdapterOvh, pcHWPutAckShip)
-		return
-	}
-	fr.finish()
-}
-
-// mpGetReqReply builds the GET reply: PIO for small transfers, the page
+// getReqReply builds the GET reply: PIO for small transfers, the page
 // streamer otherwise.
-func (fr *agentExec) mpGetReqReply() {
-	A := fr.f.A
-	pkt := fr.pkt
-	if pkt.n <= A.PIOCutoff {
-		// Build reply: header, read the source (miss + uncached), PIO
-		// out, launch.
-		fr.hold(A.Uncached+A.Instr(0.7)+A.AgentMiss+A.Uncached+fr.f.pio(pkt.n)+A.Uncached, pcMPGetDataShip)
+func (fr *agentExec) getReqReply() {
+	f := fr.f
+	if n := fr.pkt.n; n <= f.A.PIOCutoff {
+		fr.hold(f.cost.getReply+f.pio(n), pcGetDataShip)
 		return
 	}
-	fr.hold(A.Uncached+A.Instr(0.8), pcMPGetPagesStart)
+	fr.hold(f.cost.pageSetup, pcGetPagesStart)
 }
 
-// hwGetReqReply is mpGetReqReply on the adapter.
-func (fr *agentExec) hwGetReqReply() {
-	A := fr.f.A
-	pkt := fr.pkt
-	if pkt.n <= A.PIOCutoff {
-		fr.hold(A.AdapterOvh+A.CacheMiss+fr.f.pio(pkt.n), pcHWGetDataShip)
-		return
-	}
-	fr.hold(A.AdapterOvh, pcHWGetPagesStart)
-}
-
-// deqTake finishes a DEQ request on either agent: copy the request out of
-// the (about to be freed) packet, then hand the reply work to the
-// requester's serving agent once a record is available. The TakeAsync
-// closure allocates once per DEQ.
-func (fr *agentExec) deqTake(hw bool) {
+// deqTake finishes a DEQ request: copy the request out of the (about to
+// be freed) packet, then hand the reply work to the queue owner's serving
+// agent once a record is available. The TakeAsync closure allocates once
+// per DEQ.
+func (fr *agentExec) deqTake() {
 	f := fr.f
 	q, _ := f.Cl.Reg.Queue(fr.pkt.rq)
 	box := &deqReply{req: *fr.pkt}
-	work := machine.Work{TFn: mpDeqReplyWork, Arg: box}
-	if hw {
-		work.TFn = hwDeqReplyWork
-	}
+	work := machine.Work{TFn: deqReplyWork, Arg: box}
 	q.TakeAsync(func(rec []byte) {
 		box.rec = rec
 		f.agentForRank(box.req.to).Submit(work)
@@ -494,34 +382,27 @@ func (fr *agentExec) shipDeqReply() {
 	f := fr.f
 	box := fr.box
 	n := fr.nOut
-	pkt := f.newPacket(fr.node.OutLink)
-	pkt.kind, pkt.from, pkt.to, pkt.n = pktDeqData, box.req.to, box.req.from, n
-	pkt.issued, pkt.data, pkt.dst, pkt.fsync = box.req.issued, box.rec[:n], box.req.dst, box.req.fsync
-	f.ship(fr.node, pkt)
+	pkt := f.newPacketWith(fr.node.OutLink, reply(&box.req, pktDeqData))
+	pkt.n, pkt.data = n, box.rec[:n]
+	f.ship(fr.node, pkt, false)
 	fr.finish()
 }
 
-// mpSend is the proxy's send dispatch: one hold sized per operation, then
-// the matching ship state.
-func (fr *agentExec) mpSend() {
+// send is the send dispatch: one hold sized per operation, then the
+// matching ship state.
+func (fr *agentExec) send() {
 	f := fr.f
-	A := f.A
+	c := &f.cost
 	r := fr.r
 	switch r.kind {
 	case OpPut, OpEnq:
-		if r.kind == OpPut && r.n > A.PIOCutoff {
-			fr.hold(A.Uncached+A.Instr(0.8), pcMPPutPages) // header + DMA setup
+		if r.kind == OpPut && r.n > f.A.PIOCutoff {
+			fr.hold(c.pageSetup, pcPutPages)
 			return
 		}
-		// Header setup, read source data (miss + uncached), PIO the
-		// payload into the output FIFO, launch. ENQ records always move by
-		// PIO: queue entries are bounded small messages.
-		fr.hold(A.Uncached+A.Instr(0.6)+A.AgentMiss+A.Uncached+f.pio(r.n)+A.Uncached, pcMPShipPIO)
-	case OpGet:
-		// Request packet: header only.
-		fr.hold(A.Uncached+A.Instr(0.7)+A.Uncached, pcMPGetReqShip)
-	case OpDeq:
-		fr.hold(A.Uncached+A.Instr(0.7)+A.Uncached, pcMPDeqReqShip)
+		fr.hold(c.pioSend+f.pio(r.n), pcShip)
+	case OpGet, OpDeq:
+		fr.hold(c.request, pcShip)
 	}
 }
 
@@ -529,18 +410,17 @@ func (fr *agentExec) mpSend() {
 
 // startPages begins streaming proto.n bytes from srcAddr page by page —
 // pin (unless Prepinned), occupy the DMA engine, cut the page through to
-// the wire — then continues at donePC. This serialized per-page cycle is
-// the agents' side of sendPages (ship.go), whose cost analysis applies.
-func (fr *agentExec) startPages(proto packet, srcAddr memory.Addr, donePC int) {
-	fr.proto, fr.srcAddr, fr.off, fr.donePC = proto, srcAddr, 0, donePC
+// the wire — then finishes the work item. This serialized per-page cycle
+// is the agents' side of sendPages (ship.go), whose cost analysis applies.
+func (fr *agentExec) startPages(proto packet, srcAddr memory.Addr) {
+	fr.proto, fr.srcAddr, fr.off = proto, srcAddr, 0
 	fr.pageLoop()
 }
 
 func (fr *agentExec) pageLoop() {
 	A := fr.f.A
 	if fr.off >= fr.proto.n {
-		fr.pc = fr.donePC
-		fr.step()
+		fr.finish()
 		return
 	}
 	chunk := fr.proto.n - fr.off
@@ -562,15 +442,12 @@ func (fr *agentExec) pagePinned() {
 
 func (fr *agentExec) pageDMADone() {
 	f := fr.f
-	pg := f.newPacket(fr.node.OutLink)
-	buf, pooled := pg.buf, pg.pooled
-	*pg = fr.proto
-	pg.buf, pg.pooled = buf, pooled
+	pg := f.newPacketWith(fr.node.OutLink, fr.proto)
 	pg.n = fr.chunk
 	f.readBytesInto(pg, fr.srcAddr.Plus(fr.off), fr.chunk) // read after the DMA completes
 	pg.dst = fr.proto.dst.Plus(fr.off)
 	pg.last = fr.off+fr.chunk == fr.proto.n
-	f.shipOverlapped(fr.node, pg)
+	f.ship(fr.node, pg, true)
 	fr.off += fr.chunk
 	fr.pageLoop()
 }
@@ -578,124 +455,78 @@ func (fr *agentExec) pageDMADone() {
 // ---- work-item entry points (Work.TFn bodies; static functions so the
 // work items themselves allocate nothing) ----
 
-// mpServiceWork is one turn of the proxy's dispatch loop: scan the
-// registered command queues round-robin, dequeue, decode, attach the
-// user's address space, and dispatch to the send path.
+// mpServiceWork is one turn of the proxy's dispatch loop on its own
+// command queues.
 func mpServiceWork(a *machine.Agent, _ any) {
 	fr := a.Exec().(*agentExec)
+	fr.scanTurn(fr.scanIdx)
+}
+
+// scanTurn scans the command queues of this node's proxy idx round-robin
+// and dequeues, decodes and attaches the user's address space for the
+// next command, then dispatches it to the send path. A turn that finds
+// nothing retires: its scan hint was stale, or another proxy's steal got
+// there first.
+func (fr *agentExec) scanTurn(idx int) {
 	f := fr.f
-	r, qi, ok := f.scanners[fr.node.ID][fr.scanIdx].Next()
+	r, qi, ok := f.scanners[fr.node.ID][idx].Next()
 	if !ok {
-		a.WorkDone() // stale scan hint; the command was already consumed
+		fr.finish()
 		return
 	}
-	fr.node.Eng.Emit(trace.KDequeue, f.cmdqNames[fr.node.ID][fr.scanIdx][qi], 0)
+	fr.node.Eng.Emit(trace.KDequeue, f.cmdqNames[fr.node.ID][idx][qi], 0)
 	fr.r = r
 	A := f.A
 	// Dequeue entry (read miss), decode command and allocate a CCB,
 	// vm_att to the user's space.
-	fr.hold(A.AgentMiss+A.Instr(0.5)+A.VMAtt, pcMPSend)
+	fr.hold(A.AgentMiss+A.Instr(0.5)+A.VMAtt, pcSend)
 }
 
-// hwSendWork decodes the adapter command carried in the reqBox and starts
-// its send.
+// hwSendWork hands the adapter the command carried in the reqBox.
 func hwSendWork(a *machine.Agent, arg any) {
 	fr := a.Exec().(*agentExec)
 	box := arg.(*reqBox)
 	fr.r = box.r
 	fr.f.freeReqBox(box)
-	f := fr.f
-	A := f.A
-	r := fr.r
-	switch r.kind {
-	case OpPut, OpEnq:
-		if r.kind == OpPut && r.n > A.PIOCutoff {
-			fr.hold(A.AdapterOvh, pcHWPutPages)
-			return
-		}
-		// Protocol engine occupancy plus reading the source buffer over
-		// the bus.
-		fr.hold(A.AdapterOvh+A.CacheMiss+f.pio(r.n), pcHWShipPIO)
-	case OpGet:
-		fr.hold(A.AdapterOvh, pcHWGetReqShip)
-	case OpDeq:
-		fr.hold(A.AdapterOvh, pcHWDeqReqShip)
-	}
+	fr.send()
 }
 
-// mpRecvWork services a packet the proxy polled from the network input
-// FIFO.
-func mpRecvWork(a *machine.Agent, arg any) {
+// recvWork services a packet arriving at the agent: polled from the
+// network input FIFO by the proxy, consumed by the adapter's engine.
+func recvWork(a *machine.Agent, arg any) {
 	fr := a.Exec().(*agentExec)
 	pkt := arg.(*packet)
 	fr.pkt = pkt
 	f := fr.f
-	A := f.A
+	c := &f.cost
 	switch pkt.kind {
 	case pktPutData:
-		// Read header (miss), decode/dispatch, vm_att, checks, read the
-		// payload (uncached + PIO), copy to destination (write miss).
-		fr.hold(A.CacheMiss+A.Instr(0.9)+A.VMAtt+A.Uncached+f.pio(pkt.n)+A.AgentMiss, pcMPPutDeposit)
+		fr.hold(c.recv[pktPutData]+f.pio(pkt.n), pcPutDeposit)
 	case pktPutPage:
-		// DMA deposits the page; the proxy pays per-page bookkeeping.
-		fr.hold(A.Instr(0.3)+A.AgentMiss, pcMPPutPage)
+		fr.hold(c.recv[pktPutPage], pcPutPage)
 	case pktGetReq:
-		fr.hold(A.CacheMiss+A.Instr(1.0)+A.VMAtt, pcMPGetReqDecoded)
-	case pktGetData:
-		// Reply: read header, find the CCB, vm_att, read payload, copy to
-		// destination (write miss); setting lsync costs another write
-		// miss (pcMPGetDeposit).
-		fr.hold(A.CacheMiss+A.Instr(0.5)+A.VMAtt+A.Uncached+f.pio(pkt.n)+A.AgentMiss, pcMPGetDeposit)
-	case pktGetPage:
-		fr.hold(A.Instr(0.3)+A.AgentMiss, pcMPGetPageStep)
-	case pktEnqData:
-		// Like a PUT deposit plus the tail-pointer read/update and record
-		// bookkeeping in the owner's queue.
-		fr.hold(A.CacheMiss+A.Instr(0.9)+A.VMAtt+A.Uncached+f.pio(pkt.n)+2*A.CacheMiss+2*A.AgentMiss, pcMPEnqDeposit)
-	case pktDeqReq:
-		fr.hold(A.CacheMiss+A.Instr(0.8)+A.VMAtt, pcMPDeqReqTake)
-	case pktDeqData:
-		fr.hold(A.CacheMiss+A.Instr(0.5)+A.VMAtt+A.Uncached+f.pio(pkt.n)+A.AgentMiss, pcMPDeqDeposit)
-	case pktAck:
-		fr.hold(A.CacheMiss+A.Instr(0.3)+A.AgentMiss, pcMPAck)
-	}
-}
-
-// hwRecvWork services an arriving packet on the adapter's receive engine.
-func hwRecvWork(a *machine.Agent, arg any) {
-	fr := a.Exec().(*agentExec)
-	pkt := arg.(*packet)
-	fr.pkt = pkt
-	f := fr.f
-	A := f.A
-	switch pkt.kind {
-	case pktPutData:
-		fr.hold(A.AdapterOvh+f.pio(pkt.n)+A.CacheMiss, pcHWPutDeposit)
-	case pktPutPage:
-		fr.hold(A.Instr(0.1), pcHWPutPage)
-	case pktGetReq:
-		if !pkt.rsync.Nil() {
-			fr.hold(A.CacheMiss, pcHWGetReqRsync)
+		if !c.decodeGetReq {
+			fr.getReqDecoded()
 			return
 		}
-		fr.hwGetReqReply()
+		fr.hold(c.recv[pktGetReq], pcGetReqDecoded)
 	case pktGetData:
-		fr.hold(A.AdapterOvh+f.pio(pkt.n)+A.CacheMiss, pcHWGetDeposit)
+		fr.hold(c.recv[pktGetData]+f.pio(pkt.n), pcGetDeposit)
 	case pktGetPage:
-		fr.hold(A.Instr(0.1), pcHWGetPageStep)
+		fr.hold(c.recv[pktGetPage], pcGetPageStep)
 	case pktEnqData:
-		fr.hold(A.AdapterOvh+f.pio(pkt.n)+2*A.CacheMiss, pcHWEnqDeposit)
+		fr.hold(c.recv[pktEnqData]+f.pio(pkt.n), pcEnqDeposit)
 	case pktDeqReq:
-		fr.hold(A.AdapterOvh, pcHWDeqReqTake)
+		fr.hold(c.recv[pktDeqReq], pcDeqReqTake)
 	case pktDeqData:
-		fr.hold(A.AdapterOvh+f.pio(pkt.n)+A.CacheMiss, pcHWDeqDeposit)
+		fr.hold(c.recv[pktDeqData]+f.pio(pkt.n), pcDeqDeposit)
 	case pktAck:
-		fr.hold(A.AdapterOvh+A.CacheMiss, pcHWAck)
+		fr.hold(c.recv[pktAck], pcFsync)
 	}
 }
 
-// mpDeqReplyWork ships a dequeued record back to the requester.
-func mpDeqReplyWork(a *machine.Agent, arg any) {
+// deqReplyWork ships a dequeued record back to the requester.
+func deqReplyWork(a *machine.Agent, arg any) {
 	fr := a.Exec().(*agentExec)
 	box := arg.(*deqReply)
 	fr.box = box
@@ -704,20 +535,5 @@ func mpDeqReplyWork(a *machine.Agent, arg any) {
 		n = len(box.rec)
 	}
 	fr.nOut = n
-	A := fr.f.A
-	fr.hold(A.Uncached+A.Instr(0.5)+A.AgentMiss+fr.f.pio(n)+A.Uncached, pcMPDeqReplyShip)
-}
-
-// hwDeqReplyWork is mpDeqReplyWork on the adapter.
-func hwDeqReplyWork(a *machine.Agent, arg any) {
-	fr := a.Exec().(*agentExec)
-	box := arg.(*deqReply)
-	fr.box = box
-	n := box.req.n
-	if len(box.rec) < n {
-		n = len(box.rec)
-	}
-	fr.nOut = n
-	A := fr.f.A
-	fr.hold(A.AdapterOvh+fr.f.pio(n), pcHWDeqReplyShip)
+	fr.hold(fr.f.cost.deqReply+fr.f.pio(n), pcDeqReplyShip)
 }

@@ -64,19 +64,13 @@ func (f *Fabric) relSend(fr *rel.Frame) {
 		}
 	}
 	cp := *fr
-	deliver := func(fate machine.PacketFate) {
-		if fate.Corrupt {
-			f.relCorrupt(&cp, fate)
-			return
-		}
-		f.relE.Receive(&cp)
-	}
 	// DMA-fed pages cut through on first transmission; retransmissions
 	// come from the transport's buffer and re-serialize like any packet.
+	// The fabric is the sink (DeliverPacket).
 	if fr.Overlapped && !fr.Retrans {
-		src.OutLink.SendPacketOverlapped(bytes, deliver)
+		src.OutLink.SendOverlappedToSink(bytes, f, &cp)
 	} else {
-		src.OutLink.SendPacket(bytes, deliver)
+		src.OutLink.SendToSink(bytes, f, &cp)
 	}
 }
 

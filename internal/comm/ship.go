@@ -6,6 +6,7 @@ import (
 	"mproxy/internal/arch"
 	"mproxy/internal/machine"
 	"mproxy/internal/memory"
+	"mproxy/internal/rel"
 	"mproxy/internal/sim"
 	"mproxy/internal/trace"
 )
@@ -100,6 +101,42 @@ func (f *Fabric) newPacket(l *machine.Link) *packet {
 	return &packet{}
 }
 
+// newPacketWith is newPacket carrying header h.
+func (f *Fabric) newPacketWith(l *machine.Link, h packet) *packet {
+	pkt := f.newPacket(l)
+	h.buf, h.pooled = pkt.buf, pkt.pooled
+	*pkt = h
+	return pkt
+}
+
+// header returns the header of the first packet request r sends: its PUT
+// or ENQ data (the page template, for a paged PUT) or its GET or DEQ
+// request. A request leaves zero the fields its kind does not use.
+func (f *Fabric) header(r request) packet {
+	h := packet{from: r.from, to: f.targetRank(r), n: r.n, issued: r.issued,
+		dst: r.remote, rq: r.rq, fsync: r.fsync, rsync: r.rsync}
+	switch r.kind {
+	case OpPut:
+		h.kind = pktPutData
+		if r.n > f.A.PIOCutoff {
+			h.kind = pktPutPage
+		}
+	case OpEnq:
+		h.kind = pktEnqData
+	case OpGet:
+		h.kind, h.src, h.dst = pktGetReq, r.remote, r.local
+	case OpDeq:
+		h.kind, h.dst = pktDeqReq, r.local
+	}
+	return h
+}
+
+// reply returns the header of a reply of the given kind to the request
+// packet in.
+func reply(in *packet, kind pktKind) packet {
+	return packet{kind: kind, from: in.to, to: in.from, n: in.n, issued: in.issued, dst: in.dst, fsync: in.fsync}
+}
+
 // freePacket returns a pooled packet to the freelist; non-pooled packets
 // are ignored. The packet's data slice is dropped (it may alias foreign
 // memory) but its buf is kept for reuse.
@@ -138,62 +175,59 @@ func (f *Fabric) agentForRank(rank int) *machine.Agent {
 	return cpu.Node.Agents[f.eps[rank].proxyIdx]
 }
 
-// ship serializes a PIO packet onto the sending node's output link,
-// through the reliable transport when one is enabled. Without it, faults
-// are terminal: a corrupted packet is discarded at the receiver (the
-// integrity check) and nothing retransmits it.
-func (f *Fabric) ship(node *machine.Node, pkt *packet) {
-	if f.relE != nil {
-		f.relShip(pkt, false)
-		return
-	}
-	if ic := f.Cl.Net; ic != nil {
+// ship puts a packet on the sending node's output link, through the
+// reliable transport when one is enabled. Without it, faults are
+// terminal: a corrupted packet is discarded at the receiver (the
+// integrity check) and nothing retransmits it. An overlapped packet is a
+// DMA-fed page whose serialization was already paid at the (slower) DMA
+// engine.
+func (f *Fabric) ship(node *machine.Node, pkt *packet, overlapped bool) {
+	n := HeaderSize + len(pkt.data)
+	switch {
+	case f.relE != nil:
+		f.relShip(pkt, overlapped)
+	case f.Cl.Net != nil:
 		// Multi-switch machine: the interconnect owns the path from the
 		// source link through the switches; the fabric stays the sink.
-		ic.Ship(node.ID, f.nodeOf(pkt.to).ID, HeaderSize+len(pkt.data), f, pkt, false)
-		return
+		f.Cl.Net.Ship(node.ID, f.nodeOf(pkt.to).ID, n, f, pkt, overlapped)
+	case overlapped:
+		node.OutLink.SendOverlappedToSink(n, f, pkt)
+	default:
+		node.OutLink.SendToSink(n, f, pkt)
 	}
-	node.OutLink.SendToSink(HeaderSize+len(pkt.data), f, pkt)
 }
 
 // DeliverPacket implements machine.PacketSink: the fabric is the sink of
-// every packet it ships. Every shipped packet's from rank lives on the
-// sending node (each send path, sw.go's included, sets it so), which is
-// how a corrupt packet's trace event names the link it was sent on.
+// every packet it ships and of every reliable-transport frame (rel.go).
+// Every shipped packet's from rank lives on the sending node (each send
+// path, sw.go's included, sets it so), which is how a corrupt packet's
+// trace event names the link it was sent on.
 func (f *Fabric) DeliverPacket(arg any, fate machine.PacketFate) {
-	pkt := arg.(*packet)
-	if fate.Corrupt {
-		f.Cl.Eng.Emit(trace.KCorrupt, f.nodeOf(pkt.from).OutLink.Name(), int64(pkt.n))
-		return
+	switch x := arg.(type) {
+	case *packet:
+		if fate.Corrupt {
+			f.Cl.Eng.Emit(trace.KCorrupt, f.nodeOf(x.from).OutLink.Name(), int64(x.n))
+			return
+		}
+		f.deliver(f.nodeOf(x.to), x)
+	case *rel.Frame:
+		if fate.Corrupt {
+			f.relCorrupt(x, fate)
+			return
+		}
+		f.relE.Receive(x)
 	}
-	f.deliver(f.nodeOf(pkt.to), pkt)
 }
 
-// shipOverlapped ships a DMA-fed page whose serialization was already paid
-// at the (slower) DMA engine.
-func (f *Fabric) shipOverlapped(node *machine.Node, pkt *packet) {
-	if f.relE != nil {
-		f.relShip(pkt, true)
-		return
-	}
-	if ic := f.Cl.Net; ic != nil {
-		ic.Ship(node.ID, f.nodeOf(pkt.to).ID, HeaderSize+len(pkt.data), f, pkt, true)
-		return
-	}
-	node.OutLink.SendOverlappedToSink(HeaderSize+len(pkt.data), f, pkt)
-}
-
-// deliver dispatches an arriving packet to the receiving node's agent
-// (proxy or adapter) or, under SW, interrupts the destination CPU.
+// deliver dispatches an arriving packet to the agent serving its
+// destination rank (proxy or adapter) or, under SW, interrupts the
+// destination CPU.
 func (f *Fabric) deliver(dest *machine.Node, pkt *packet) {
-	switch f.A.Kind {
-	case arch.Proxy:
-		f.agentForRank(pkt.to).Submit(machine.Work{TFn: mpRecvWork, Arg: pkt})
-	case arch.CustomHW:
-		dest.Agent.Submit(machine.Work{TFn: hwRecvWork, Arg: pkt})
-	case arch.Syscall:
+	if f.A.Kind == arch.Syscall {
 		f.swRecv(dest, pkt)
+		return
 	}
+	f.agentForRank(pkt.to).Submit(machine.Work{TFn: recvWork, Arg: pkt})
 }
 
 // readSource snapshots the request's payload bytes at send time (the
@@ -291,7 +325,7 @@ func (f *Fabric) sendPages(p *sim.Proc, node *machine.Node, proto packet, srcAdd
 		pg.data = f.readBytes(srcAddr.Plus(off), chunk)
 		pg.dst = proto.dst.Plus(off)
 		pg.last = off+chunk == proto.n
-		f.shipOverlapped(node, &pg)
+		f.ship(node, &pg, true)
 		off += chunk
 	}
 }

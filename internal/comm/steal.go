@@ -69,11 +69,11 @@ func (f *Fabric) trySteal(node *machine.Node, thief int) {
 
 // mpStealWork is one stolen scan turn: hold the cross-queue penalty (the
 // victim's queue state is cold in the thief's cache), then scan the
-// victim at pcMPStealScan and run its decode/send exactly as a home turn
+// victim at pcStealScan and run its decode/send exactly as a home turn
 // would. Arg is the victim's proxy index (a small int: interface boxing
 // stays alloc-free).
 func mpStealWork(a *machine.Agent, arg any) {
 	fr := a.Exec().(*agentExec)
 	fr.stealIdx = arg.(int)
-	fr.hold(fr.f.A.AgentMiss, pcMPStealScan)
+	fr.hold(fr.f.A.AgentMiss, pcStealScan)
 }

@@ -20,37 +20,28 @@ import (
 func (f *Fabric) swSend(ep *Endpoint, r request) {
 	A := f.A
 	node := ep.cpu.Node
-	to := f.targetRank(r)
 	base := A.SyscallOvh + A.ProtocolOvh
 	switch r.kind {
 	case OpPut, OpEnq:
-		kind := pktPutData
-		if r.kind == OpEnq {
-			kind = pktEnqData
-		}
 		if r.kind == OpPut && r.n > A.PIOCutoff {
 			// The kernel pins and DMAs page by page with the caller
 			// blocked: a communication operation may block in the kernel,
 			// preventing overlap of communication with computation.
 			ep.cpu.Compute(ep.proc, base)
-			f.sendPages(ep.proc, node, packet{kind: pktPutPage, from: r.from, to: to, n: r.n,
-				issued: r.issued, dst: r.remote, fsync: r.fsync, rsync: r.rsync}, r.local)
+			f.sendPages(ep.proc, node, f.header(r), r.local)
 		} else {
 			ep.cpu.Compute(ep.proc, base+A.CacheMiss+2*A.Uncached+f.pio(r.n))
-			f.ship(node, &packet{kind: kind, from: r.from, to: to, n: r.n,
-				issued: r.issued, data: f.readSource(r), dst: r.remote, rq: r.rq, fsync: r.fsync, rsync: r.rsync})
+			h := f.header(r)
+			h.data = f.readSource(r)
+			f.ship(node, &h, false)
 		}
 		if r.kind == OpEnq {
 			f.Cl.Reg.Signal(r.fsync)
 		}
-	case OpGet:
+	case OpGet, OpDeq:
 		ep.cpu.Compute(ep.proc, base+2*A.Uncached)
-		f.ship(node, &packet{kind: pktGetReq, from: r.from, to: to, n: r.n,
-			issued: r.issued, src: r.remote, dst: r.local, fsync: r.fsync, rsync: r.rsync})
-	case OpDeq:
-		ep.cpu.Compute(ep.proc, base+2*A.Uncached)
-		f.ship(node, &packet{kind: pktDeqReq, from: r.from, to: to, n: r.n,
-			issued: r.issued, rq: r.rq, dst: r.local, fsync: r.fsync})
+		h := f.header(r)
+		f.ship(node, &h, false)
 	}
 }
 
@@ -97,8 +88,9 @@ func (f *Fabric) swRecv(dest *machine.Node, pkt *packet) {
 		if pkt.n <= A.PIOCutoff {
 			after(A.InterruptOvh+A.ProtocolOvh+A.CacheMiss+f.pio(pkt.n)+2*A.Uncached, func() {
 				reg.Signal(pkt.rsync)
-				f.ship(dest, &packet{kind: pktGetData, from: pkt.to, to: pkt.from, n: pkt.n,
-					issued: pkt.issued, data: f.readBytes(pkt.src, pkt.n), dst: pkt.dst, fsync: pkt.fsync})
+				h := reply(pkt, pktGetData)
+				h.data = f.readBytes(pkt.src, pkt.n)
+				f.ship(dest, &h, false)
 			})
 		} else {
 			req := *pkt
@@ -108,8 +100,7 @@ func (f *Fabric) swRecv(dest *machine.Node, pkt *packet) {
 				// like the paper's SW1 model, this is generous to SW —
 				// the stream itself does not steal further compute cycles.
 				f.Cl.Eng.Spawn(fmt.Sprintf("swdma-get-%d", req.from), func(p *sim.Proc) {
-					f.sendPages(p, dest, packet{kind: pktGetPage, from: req.to, to: req.from,
-						n: req.n, issued: req.issued, dst: req.dst, fsync: req.fsync}, req.src)
+					f.sendPages(p, dest, reply(&req, pktGetPage), req.src)
 				})
 			})
 		}
@@ -151,8 +142,9 @@ func (f *Fabric) swRecv(dest *machine.Node, pkt *packet) {
 				// The reply is sent from kernel context on the owner's CPU.
 				cpu.Interrupt(A.ProtocolOvh + f.pio(n))
 				f.Cl.Eng.Schedule(A.ProtocolOvh+f.pio(n), func() {
-					f.ship(dest, &packet{kind: pktDeqData, from: req.to, to: req.from, n: n,
-						issued: req.issued, data: rec[:n], dst: req.dst, fsync: req.fsync})
+					h := reply(&req, pktDeqData)
+					h.n, h.data = n, rec[:n]
+					f.ship(dest, &h, false)
 				})
 			})
 		})
@@ -174,5 +166,5 @@ func (f *Fabric) swAck(node *machine.Node, pkt *packet) {
 	if pkt.fsync.Nil() {
 		return
 	}
-	f.ship(node, &packet{kind: pktAck, from: pkt.to, to: pkt.from, fsync: pkt.fsync})
+	f.ship(node, &packet{kind: pktAck, from: pkt.to, to: pkt.from, fsync: pkt.fsync}, false)
 }

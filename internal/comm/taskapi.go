@@ -103,9 +103,9 @@ func (ep *Endpoint) submitTask(t *sim.Task, r request, k func()) {
 	}
 	switch f.A.Kind {
 	case arch.Proxy:
-		ep.cpu.ComputeTask(t, 2*f.A.AgentMiss+f.A.Instr(0.2), ep.newSubmitFrame(t, r, k, subEnqueue))
+		ep.cpu.ComputeTask(t, f.SubmitCost(), ep.newSubmitFrame(t, r, k, subEnqueue))
 	case arch.CustomHW:
-		ep.cpu.ComputeTask(t, f.A.ComputeOvh, ep.newSubmitFrame(t, r, k, subAdapter))
+		ep.cpu.ComputeTask(t, f.SubmitCost(), ep.newSubmitFrame(t, r, k, subAdapter))
 	default:
 		panic("comm: task submission is not supported under the system-call design point")
 	}

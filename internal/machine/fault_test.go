@@ -21,6 +21,23 @@ func (s scriptPlane) AgentFault(agent string, item int64, now sim.Time) AgentFat
 	return s.agent[item]
 }
 
+// recordSink records every delivery a Link makes: its arg, its fate and
+// the simulated arrival time.
+type recordSink struct {
+	eng *sim.Engine
+	got []arrival
+}
+
+type arrival struct {
+	arg  any
+	fate PacketFate
+	at   sim.Time
+}
+
+func (s *recordSink) DeliverPacket(arg any, fate PacketFate) {
+	s.got = append(s.got, arrival{arg, fate, s.eng.Now()})
+}
+
 func TestLinkFaultDispatch(t *testing.T) {
 	eng := sim.NewEngine()
 	rec := &trace.Recorder{}
@@ -34,17 +51,9 @@ func TestLinkFaultDispatch(t *testing.T) {
 		5: {Delay: 40 * sim.Microsecond},
 	}}, 0)
 
-	type arrival struct {
-		seq  uint64
-		at   sim.Time
-		fate PacketFate
-	}
-	var got []arrival
-	for seq := uint64(0); seq < 6; seq++ {
-		seq := seq
-		l.SendPacket(0, func(f PacketFate) {
-			got = append(got, arrival{seq, eng.Now(), f})
-		})
+	sink := &recordSink{eng: eng}
+	for seq := 0; seq < 6; seq++ {
+		l.SendToSink(0, sink, seq)
 	}
 	eng.Spawn("idle", func(p *sim.Proc) {})
 	if err := eng.Run(); err != nil {
@@ -52,17 +61,24 @@ func TestLinkFaultDispatch(t *testing.T) {
 	}
 
 	// 0 clean, 1 dropped, 2 down, 3 corrupt, 4 twice, 5 delayed last.
+	got := sink.got
 	want := []struct {
-		seq     uint64
+		seq     int
 		corrupt bool
 	}{{0, false}, {3, true}, {4, false}, {4, false}, {5, false}}
 	if len(got) != len(want) {
 		t.Fatalf("arrivals = %+v, want %d", got, len(want))
 	}
 	for i, w := range want {
-		if got[i].seq != w.seq || got[i].fate.Corrupt != w.corrupt {
+		if got[i].arg != w.seq || got[i].fate.Corrupt != w.corrupt {
 			t.Errorf("arrival %d = %+v, want seq %d corrupt %v", i, got[i], w.seq, w.corrupt)
 		}
+	}
+	if got[1].fate.CorruptBit != 5 {
+		t.Errorf("corrupt fate = %+v, want CorruptBit 5 passed to the sink", got[1].fate)
+	}
+	if got[3].fate != (PacketFate{}) {
+		t.Errorf("duplicate fate = %+v, want clean", got[3].fate)
 	}
 	if got[3].at-got[2].at != 3*sim.Microsecond {
 		t.Errorf("duplicate spacing = %v, want 3us", got[3].at-got[2].at)
@@ -97,21 +113,21 @@ func TestLinkFaultDispatch(t *testing.T) {
 func TestLinkWithoutPlaneIsClean(t *testing.T) {
 	eng := sim.NewEngine()
 	l := NewLink(eng, "clean.out", 100, sim.Microsecond)
-	n := 0
+	sink := &recordSink{eng: eng}
 	for i := 0; i < 10; i++ {
-		l.SendPacket(64, func(f PacketFate) {
-			if f != (PacketFate{}) {
-				t.Errorf("clean link delivered fate %+v", f)
-			}
-			n++
-		})
+		l.SendToSink(64, sink, i)
 	}
 	eng.Spawn("idle", func(p *sim.Proc) {})
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if n != 10 || l.Lost() != 0 {
-		t.Errorf("delivered %d (lost %d), want 10 (0)", n, l.Lost())
+	for i, a := range sink.got {
+		if a.arg != i || a.fate != (PacketFate{}) {
+			t.Errorf("clean link delivery %d = %+v, want arg %d with a clean fate", i, a, i)
+		}
+	}
+	if len(sink.got) != 10 || l.Lost() != 0 {
+		t.Errorf("delivered %d (lost %d), want 10 (0)", len(sink.got), l.Lost())
 	}
 }
 

@@ -442,8 +442,8 @@ type Link struct {
 	node  int
 	lost  int64 // packets dropped, corrupted-in-flight or lost to down windows
 
-	// freeDel recycles delivery nodes for the sink-based send path, so a
-	// steady-state packet stream schedules without allocating per packet.
+	// freeDel recycles delivery nodes, so a steady-state packet stream
+	// schedules without allocating per packet.
 	freeDel []*delivery
 
 	// route, when non-nil, intercepts sink deliveries whose destination is
@@ -473,86 +473,15 @@ func (l *Link) SetRoute(r func(at sim.Time, sink PacketSink, arg any) bool) { l.
 // one hop when the link crosses simulation shards.
 func (l *Link) Latency() sim.Time { return l.latency }
 
-// Send serializes n bytes onto the link and schedules deliver at the
-// arrival time. Headers count toward serialization, so callers pass the
-// full packet size.
-func (l *Link) Send(n int, deliver func()) {
-	l.SendPacket(n, func(PacketFate) { deliver() })
-}
-
-// SendPacket is Send for callers that participate in fault injection: the
-// fate the fault plane chose for the packet (corruption, in particular)
-// is passed to deliver. Dropped packets never invoke deliver; duplicated
-// packets invoke it twice.
-func (l *Link) SendPacket(n int, deliver func(fate PacketFate)) {
-	xfer := arch.XferTime(n, l.mbps)
-	start := l.freeAt
-	if now := l.eng.Now(); start < now {
-		start = now
-	}
-	depart := start + xfer
-	l.freeAt = depart
-	l.busy += xfer
-	l.dispatch(n, depart-l.eng.Now(), deliver)
-}
-
-// SendOverlapped accounts n bytes on the link but charges no serialization
-// time, scheduling deliver after just the wire latency. It is used for
-// DMA-fed transfers, where cut-through overlaps wire serialization with the
-// (slower) DMA stream that the caller has already paid for.
-func (l *Link) SendOverlapped(n int, deliver func()) {
-	l.SendPacketOverlapped(n, func(PacketFate) { deliver() })
-}
-
-// SendPacketOverlapped is SendOverlapped with fault participation.
-func (l *Link) SendPacketOverlapped(n int, deliver func(fate PacketFate)) {
-	l.dispatch(n, 0, deliver)
-}
-
-// dispatch accounts the packet, consults the fault plane, and schedules
-// delivery depart+latency from now. The plane-free path is byte-for-byte
-// the original simulator: one schedule at the arrival time.
-func (l *Link) dispatch(n int, depart sim.Time, deliver func(fate PacketFate)) {
-	seq := uint64(l.packets)
-	l.packets++
-	l.sentByte += int64(n)
-	if l.plane == nil {
-		l.eng.Schedule(depart+l.latency, func() { deliver(PacketFate{}) })
-		return
-	}
-	fate := l.plane.PacketFate(l.name, l.node, seq, l.eng.Now())
-	switch {
-	case fate.Down:
-		l.lost++
-		l.eng.Emit(trace.KLinkDown, l.name, int64(seq))
-		return
-	case fate.Drop:
-		l.lost++
-		l.eng.Emit(trace.KDrop, l.name, int64(seq))
-		return
-	}
-	if fate.Corrupt {
-		l.lost++
-	}
-	arrive := depart + l.latency + fate.Delay
-	l.eng.Schedule(arrive, func() { deliver(fate) })
-	if fate.Dup {
-		// The duplicate is a clean copy: corruption happened to one
-		// physical packet, duplication re-delivers the original.
-		dup := PacketFate{}
-		l.eng.Schedule(arrive+fate.DupDelay, func() { deliver(dup) })
-	}
-}
-
-// PacketSink receives packets sent with SendToSink: the closure-free twin
-// of SendPacket's deliver callback, for run-to-completion receivers whose
-// packet argument outlives the call. Dropped packets are never delivered;
-// duplicated packets are delivered twice.
+// PacketSink receives what a Link delivers: the sender's arg, untouched,
+// with the fate the fault plane chose for it (corruption, in particular).
+// Dropped packets are never delivered; duplicated packets are delivered
+// twice, the duplicate with a clean fate.
 type PacketSink interface {
 	DeliverPacket(arg any, fate PacketFate)
 }
 
-// delivery is one in-flight sink delivery. The run closure is built once
+// delivery is one in-flight packet. The run closure is built once
 // per node and the node recycles through the link's freelist, so the hot
 // send path costs zero allocations per packet.
 type delivery struct {
@@ -584,9 +513,9 @@ func (d *delivery) fire() {
 	sink.DeliverPacket(arg, fate)
 }
 
-// SendToSink is SendPacket routed to a PacketSink: identical serialization
-// accounting, fault handling and schedule emissions, but no per-packet
-// closure.
+// SendToSink serializes n bytes onto the link and delivers arg to sink at
+// the arrival time. Headers count toward serialization, so callers pass
+// the full packet size.
 func (l *Link) SendToSink(n int, sink PacketSink, arg any) {
 	xfer := arch.XferTime(n, l.mbps)
 	start := l.freeAt
@@ -599,13 +528,17 @@ func (l *Link) SendToSink(n int, sink PacketSink, arg any) {
 	l.dispatchSink(n, depart-l.eng.Now(), sink, arg)
 }
 
-// SendOverlappedToSink is SendPacketOverlapped routed to a PacketSink.
+// SendOverlappedToSink accounts n bytes on the link but charges no
+// serialization time, delivering arg after just the wire latency. It is
+// used for DMA-fed transfers, where cut-through overlaps wire
+// serialization with the (slower) DMA stream the caller already paid for.
 func (l *Link) SendOverlappedToSink(n int, sink PacketSink, arg any) {
 	l.dispatchSink(n, 0, sink, arg)
 }
 
-// dispatchSink mirrors dispatch for the sink path: same packet accounting,
-// same fault-plane consultation, same trace emissions.
+// dispatchSink accounts the packet, consults the fault plane, and
+// schedules delivery depart+latency from now. The plane-free path is one
+// schedule at the arrival time.
 func (l *Link) dispatchSink(n int, depart sim.Time, sink PacketSink, arg any) {
 	seq := uint64(l.packets)
 	l.packets++
@@ -638,6 +571,8 @@ func (l *Link) dispatchSink(n int, depart sim.Time, sink PacketSink, arg any) {
 	d.sink, d.arg, d.fate = sink, arg, fate
 	l.eng.Schedule(arrive, d.run)
 	if fate.Dup {
+		// The duplicate is a clean copy: corruption happened to one
+		// physical packet, duplication re-delivers the original.
 		d2 := l.newDelivery()
 		d2.sink, d2.arg = sink, arg
 		l.eng.Schedule(arrive+fate.DupDelay, d2.run)
@@ -652,7 +587,7 @@ func (l *Link) Faulty() bool { return l.plane != nil }
 // page loop uses it to stay busy for the duration of a DMA page transfer.
 func (l *Link) Occupy(p *sim.Proc, n int) {
 	f := l.eng.NewFlag()
-	l.Send(n, func() { f.Add(1) })
+	l.SendToSink(n, flagSink{}, f)
 	f.Wait(p, 1)
 }
 
@@ -660,9 +595,14 @@ func (l *Link) Occupy(p *sim.Proc, n int) {
 // transfer completes. Flag wiring and trace emissions match Occupy's.
 func (l *Link) OccupyTask(t *sim.Task, n int, k func()) {
 	f := l.eng.NewFlag()
-	l.Send(n, func() { f.Add(1) })
+	l.SendToSink(n, flagSink{}, f)
 	f.WaitTask(t, 1, k)
 }
+
+// flagSink bumps the *sim.Flag an Occupy transfer carries as its arg.
+type flagSink struct{}
+
+func (flagSink) DeliverPacket(arg any, _ PacketFate) { arg.(*sim.Flag).Add(1) }
 
 // Name returns the link's trace component name.
 func (l *Link) Name() string { return l.name }
@@ -678,7 +618,7 @@ func (l *Link) Lost() int64 { return l.lost }
 func (l *Link) Bytes() int64 { return l.sentByte }
 
 // BusyTime returns the serialization time spent up to the present instant.
-// SendPacket books a packet's full serialization at send time (l.busy) and
+// SendToSink books a packet's full serialization at send time (l.busy) and
 // pending transfers occupy the port back-to-back until freeAt, so the
 // not-yet-elapsed portion is exactly max(0, freeAt-now); clipping it keeps
 // mid-run snapshots exact. At quiesce freeAt <= now and BusyTime == l.busy.

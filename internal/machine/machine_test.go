@@ -241,16 +241,16 @@ func TestLinkSerialization(t *testing.T) {
 	eng := sim.NewEngine()
 	// 100 MB/s = 100 bytes/us; latency 2 us.
 	l := NewLink(eng, "l", 100, 2*sim.Microsecond)
-	var arrivals []sim.Time
+	sink := &recordSink{eng: eng}
 	// Two back-to-back 1000-byte packets: serialization 10 us each.
-	l.Send(1000, func() { arrivals = append(arrivals, eng.Now()) })
-	l.Send(1000, func() { arrivals = append(arrivals, eng.Now()) })
+	l.SendToSink(1000, sink, 0)
+	l.SendToSink(1000, sink, 1)
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
 	want0, want1 := sim.Micros(12), sim.Micros(22)
-	if arrivals[0] != want0 || arrivals[1] != want1 {
-		t.Fatalf("arrivals = %v, want [%v %v]", arrivals, want0, want1)
+	if len(sink.got) != 2 || sink.got[0].at != want0 || sink.got[1].at != want1 {
+		t.Fatalf("arrivals = %+v, want at [%v %v]", sink.got, want0, want1)
 	}
 	if l.Packets() != 2 || l.Bytes() != 2000 {
 		t.Fatalf("packets=%d bytes=%d", l.Packets(), l.Bytes())
@@ -263,16 +263,16 @@ func TestLinkSerialization(t *testing.T) {
 func TestLinkIdleGapNoSerializationCarry(t *testing.T) {
 	eng := sim.NewEngine()
 	l := NewLink(eng, "l", 100, 0)
-	var second sim.Time
-	l.Send(100, func() {}) // arrives at 1 us
+	sink := &recordSink{eng: eng}
+	l.SendToSink(100, sink, 0) // arrives at 1 us
 	eng.Schedule(sim.Micros(10), func() {
-		l.Send(100, func() { second = eng.Now() })
+		l.SendToSink(100, sink, 1)
 	})
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if second != sim.Micros(11) {
-		t.Fatalf("second arrival = %v, want 11us", second)
+	if len(sink.got) != 2 || sink.got[1].arg != 1 || sink.got[1].at != sim.Micros(11) {
+		t.Fatalf("arrivals = %+v, want the second at 11us", sink.got)
 	}
 }
 
@@ -357,15 +357,18 @@ func TestAgentShutdown(t *testing.T) {
 func TestLinkSendOverlapped(t *testing.T) {
 	eng := sim.NewEngine()
 	l := NewLink(eng, "l", 100, 2*sim.Microsecond)
-	var at sim.Time
+	sink := &recordSink{eng: eng}
 	// Overlapped sends pay only the wire latency (serialization was paid
 	// at the DMA engine) but still count toward traffic stats.
-	l.SendOverlapped(4096, func() { at = eng.Now() })
+	l.SendOverlappedToSink(4096, sink, nil)
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if at != 2*sim.Microsecond {
-		t.Fatalf("arrival = %v, want 2us", at)
+	if len(sink.got) != 1 || sink.got[0].at != 2*sim.Microsecond {
+		t.Fatalf("arrivals = %+v, want one at 2us", sink.got)
+	}
+	if l.BusyTime() != 0 {
+		t.Fatalf("BusyTime = %v, want 0: an overlapped send charges no serialization", l.BusyTime())
 	}
 	if l.Packets() != 1 || l.Bytes() != 4096 {
 		t.Fatalf("stats: %d pkts %d bytes", l.Packets(), l.Bytes())

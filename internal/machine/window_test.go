@@ -41,7 +41,7 @@ func TestAgentUtilizationSinceMidService(t *testing.T) {
 	})
 }
 
-// TestLinkUtilizationSinceMidSerialization: Send books the whole packet's
+// TestLinkUtilizationSinceMidSerialization: SendToSink books the whole packet's
 // serialization up front; BusyTime clips the not-yet-elapsed tail so a
 // window cut mid-packet sees only the elapsed share.
 func TestLinkUtilizationSinceMidSerialization(t *testing.T) {
@@ -53,7 +53,7 @@ func TestLinkUtilizationSinceMidSerialization(t *testing.T) {
 	var busyMid sim.Time
 	eng.Spawn("driver", func(p *sim.Proc) {
 		p.Hold(100)
-		l.Send(3000, func() {})
+		l.SendToSink(3000, &recordSink{eng: eng}, nil)
 		p.Hold(xfer / 2)
 		// Window [100, 100+xfer/2): the port has been serializing throughout.
 		mid = l.UtilizationSince(100, 0)

@@ -38,14 +38,15 @@ type Scenario struct {
 
 // Scenarios returns the golden-trace suite: the latency-critical
 // micro-benchmark under each design point, a proxy-contention queueing
-// scenario, a small full-stack application run, and two faulty wires
-// (MP1 with the reliable transport, SW1 without it).
+// scenario, a small full-stack application run, two faulty wires (MP1
+// with the reliable transport, SW1 without it), every primitive's agent
+// path on MP1 and HW1 (also over a faulty wire), and a stolen proxy turn.
 func Scenarios() []Scenario {
 	return []Scenario{
 		{
 			Name: "pingpong-mp1",
 			Desc: "64B PUT ping-pong, 2 nodes x 1 proc, MP1 (Table 4 / Figure 7 path)",
-			Run:  pingPong,
+			Run:  func(t trace.Tracer) { pingPongOn(t, "MP1", 8, nil) },
 		},
 		{
 			Name: "queueing-mp1",
@@ -65,12 +66,12 @@ func Scenarios() []Scenario {
 		{
 			Name: "pingpong-hw1",
 			Desc: "64B PUT ping-pong, 2 nodes x 1 proc, HW1 (adapter protocol engine path)",
-			Run:  func(t trace.Tracer) { pingPongOn(t, "HW1") },
+			Run:  func(t trace.Tracer) { pingPongOn(t, "HW1", 8, nil) },
 		},
 		{
 			Name: "pingpong-sw1",
 			Desc: "64B PUT ping-pong, 2 nodes x 1 proc, SW1 (system-call send, interrupt receive)",
-			Run:  func(t trace.Tracer) { pingPongOn(t, "SW1") },
+			Run:  func(t trace.Tracer) { pingPongOn(t, "SW1", 8, nil) },
 		},
 		{
 			Name: "faulty-pingpong-sw1",
@@ -108,19 +109,29 @@ func mustArch(name string) arch.Params {
 	return a
 }
 
-// pingPong reproduces the micro-benchmark critical path on MP1.
-func pingPong(t trace.Tracer) { pingPongOn(t, "MP1") }
-
-// pingPongOn runs the micro-benchmark critical path under the named
-// design point: rank 0 PUTs to rank 1 and waits for the return PUT, 8
-// round trips of 64 bytes.
-func pingPongOn(t trace.Tracer, archName string) {
-	const n, reps = 64, 8
-	a := mustArch(archName)
+// newSim starts a traced simulation of cfg under the named design point
+// and builds its fabric. A non-nil plane faults the wire.
+func newSim(t trace.Tracer, archName string, cfg machine.Config, plane machine.FaultPlane, opt comm.Options) (*sim.Engine, *machine.Cluster, *comm.Fabric) {
 	eng := sim.NewEngine()
 	eng.SetTracer(t)
-	cl := machine.New(eng, machine.Config{Nodes: 2, ProcsPerNode: 1}, a)
-	f := comm.New(cl)
+	cl := machine.New(eng, cfg, mustArch(archName))
+	if plane != nil {
+		cl.SetFaultPlane(plane)
+	}
+	return eng, cl, comm.NewWith(cl, opt)
+}
+
+// pingPongOn runs the micro-benchmark critical path under the named
+// design point: rank 0 PUTs 64 bytes to rank 1 and waits for the return
+// PUT, reps round trips. A non-nil plane faults the wire and turns on the
+// reliable transport to recover.
+func pingPongOn(t trace.Tracer, archName string, reps int, plane machine.FaultPlane) {
+	const n = 64
+	var opt comm.Options
+	if plane != nil {
+		opt.Rel = &rel.Config{}
+	}
+	eng, _, f := newSim(t, archName, machine.Config{Nodes: 2, ProcsPerNode: 1}, plane, opt)
 	reg := f.Registry()
 	b0 := reg.NewSegment(0, n)
 	b1 := reg.NewSegment(1, n)
@@ -153,57 +164,19 @@ func pingPongOn(t trace.Tracer, archName string) {
 	if err := eng.Run(); err != nil {
 		panic("regress: pingpong: " + err.Error())
 	}
+	if err := f.RelErr(); err != nil {
+		panic("regress: pingpong transport: " + err.Error())
+	}
 }
 
-// faultyPingPong is pingPong over a deterministic lossy wire: a seeded
-// fault plane drops one packet in a thousand and the reliable transport
-// recovers them. The blessed digest covers the whole fault pipeline —
-// PRNG draws, drop events, retransmission timers, ack traffic — so a
-// change to any of them is caught byte-for-byte, exactly like a latency
-// model change.
+// faultyPingPong is 400 ping-pong round trips on MP1 over a
+// deterministic lossy wire: a seeded fault plane drops one packet in a
+// thousand and the reliable transport recovers them. The blessed digest
+// covers the whole fault pipeline — PRNG draws, drop events,
+// retransmission timers, ack traffic — so a change to any of them is
+// caught byte-for-byte, exactly like a latency model change.
 func faultyPingPong(t trace.Tracer) {
-	const n, reps = 64, 400
-	a := mustArch("MP1")
-	eng := sim.NewEngine()
-	eng.SetTracer(t)
-	cl := machine.New(eng, machine.Config{Nodes: 2, ProcsPerNode: 1}, a)
-	cl.SetFaultPlane(fault.NewPlane(fault.Config{Seed: 1, Drop: 1e-3}))
-	f := comm.NewWith(cl, comm.Options{Rel: &rel.Config{}})
-	reg := f.Registry()
-	b0 := reg.NewSegment(0, n)
-	b1 := reg.NewSegment(1, n)
-	b0.Grant(1)
-	b1.Grant(0)
-	ping := reg.NewFlag(1)
-	pong := reg.NewFlag(0)
-	pingF, _ := reg.Flag(ping)
-	pongF, _ := reg.Flag(pong)
-	eng.Spawn("pinger", func(p *sim.Proc) {
-		ep := f.Endpoint(0)
-		ep.Bind(p)
-		for i := 0; i < reps; i++ {
-			if err := ep.Put(b0.Addr(0), b1.Addr(0), n, memory.FlagRef{}, ping); err != nil {
-				panic(err)
-			}
-			pongF.Wait(p, int64(i+1))
-		}
-	})
-	eng.Spawn("ponger", func(p *sim.Proc) {
-		ep := f.Endpoint(1)
-		ep.Bind(p)
-		for i := 0; i < reps; i++ {
-			pingF.Wait(p, int64(i+1))
-			if err := ep.Put(b1.Addr(0), b0.Addr(0), n, memory.FlagRef{}, pong); err != nil {
-				panic(err)
-			}
-		}
-	})
-	if err := eng.Run(); err != nil {
-		panic("regress: faulty-pingpong: " + err.Error())
-	}
-	if err := f.RelErr(); err != nil {
-		panic("regress: faulty-pingpong transport: " + err.Error())
-	}
+	pingPongOn(t, "MP1", 400, fault.NewPlane(fault.Config{Seed: 1, Drop: 1e-3}))
 }
 
 // faultyExchangeSW1 streams 64-byte PUTs both ways between two SW1 nodes
@@ -216,12 +189,8 @@ func faultyPingPong(t trace.Tracer) {
 func faultyExchangeSW1(t trace.Tracer) {
 	const n, reps = 64, 200
 	gap := 20 * sim.Microsecond
-	a := mustArch("SW1")
-	eng := sim.NewEngine()
-	eng.SetTracer(t)
-	cl := machine.New(eng, machine.Config{Nodes: 2, ProcsPerNode: 1}, a)
-	cl.SetFaultPlane(fault.NewPlane(fault.Config{Seed: 1, Corrupt: 2e-2}))
-	f := comm.New(cl)
+	plane := fault.NewPlane(fault.Config{Seed: 1, Corrupt: 2e-2})
+	eng, cl, f := newSim(t, "SW1", machine.Config{Nodes: 2, ProcsPerNode: 1}, plane, comm.Options{})
 	reg := f.Registry()
 	segs := [2]*memory.Segment{reg.NewSegment(0, n), reg.NewSegment(1, n)}
 	segs[0].Grant(1)
@@ -260,11 +229,7 @@ func queueing(t trace.Tracer) {
 		small = 32
 		big   = 8192
 	)
-	a := mustArch("MP1")
-	eng := sim.NewEngine()
-	eng.SetTracer(t)
-	cl := machine.New(eng, machine.Config{Nodes: 2, ProcsPerNode: ppn}, a)
-	f := comm.New(cl)
+	eng, _, f := newSim(t, "MP1", machine.Config{Nodes: 2, ProcsPerNode: ppn}, nil, comm.Options{})
 	reg := f.Registry()
 	for i := 0; i < ppn; i++ {
 		i := i
@@ -330,9 +295,6 @@ func appMM(t trace.Tracer) {
 	}
 }
 
-// opMixFaults is the wire faulty-opmix-mp1 runs over.
-var opMixFaults = fault.Config{Seed: 3, Drop: 0.03, Corrupt: 0.03, Dup: 0.03}
-
 // countingPlane tallies the fates a fault plane hands out, so a faulty
 // scenario can prove it exercised each kind of fault.
 type countingPlane struct {
@@ -360,7 +322,7 @@ func (c *countingPlane) PacketFate(link string, node int, seq uint64, now sim.Ti
 // actually occurred, so its digest pins rel's overlapped and
 // retransmitted frames.
 func faultyOpMix(t trace.Tracer) {
-	plane := &countingPlane{FaultPlane: fault.NewPlane(opMixFaults)}
+	plane := &countingPlane{FaultPlane: fault.NewPlane(fault.Config{Seed: 3, Drop: 0.03, Corrupt: 0.03, Dup: 0.03})}
 	cl, f := opMix(t, "MP1", plane)
 	var pages int64
 	for _, nd := range cl.Nodes {
@@ -388,15 +350,11 @@ func opMix(t trace.Tracer, archName string, plane machine.FaultPlane) (*machine.
 		big   = 8192 // two pages, past every design point's PIO cutoff
 		rec   = 24
 	)
-	eng := sim.NewEngine()
-	eng.SetTracer(t)
-	cl := machine.New(eng, machine.Config{Nodes: 2, ProcsPerNode: 2}, mustArch(archName))
 	var opt comm.Options
 	if plane != nil {
-		cl.SetFaultPlane(plane)
 		opt.Rel = &rel.Config{}
 	}
-	f := comm.NewWith(cl, opt)
+	eng, cl, f := newSim(t, archName, machine.Config{Nodes: 2, ProcsPerNode: 2}, plane, opt)
 	reg := f.Registry()
 	for _, pair := range [][2]int{{0, 2}, {3, 1}} {
 		me, peer := pair[0], pair[1]
@@ -457,10 +415,7 @@ func steal(t trace.Tracer) {
 		burst = 8
 		n     = 64
 	)
-	eng := sim.NewEngine()
-	eng.SetTracer(t)
-	cl := machine.New(eng, machine.Config{Nodes: 2, ProcsPerNode: 2, ProxiesPerNode: 2}, mustArch("MP1"))
-	f := comm.NewWith(cl, comm.Options{ProxySched: "steal"})
+	eng, cl, f := newSim(t, "MP1", machine.Config{Nodes: 2, ProcsPerNode: 2, ProxiesPerNode: 2}, nil, comm.Options{ProxySched: "steal"})
 	reg := f.Registry()
 	// Ranks 0 and 1 sit on node 0's proxies 0 and 1; each PUTs to its
 	// counterpart on node 1, rank 0 a burst and rank 1 a single message.
