@@ -122,9 +122,10 @@ echo "== race shard (recorded digests + parallel determinism + concurrent fabric
 # TestDifferentialExecModes replays them on a single-threaded scheduler
 # with per-event trace delivery; TestParallel* adds
 # the parallel driver's repeat-run determinism and warn-and-fall-back
-# contract. Under -race the detector watches every cross-shard mailbox
-# and barrier edge.
-go test -race -run 'TestDifferential|TestGoldenTraces|TestStealRepeatRunDigest|TestParallel|TestConcurrentFabricsDistinctQueueCaps' \
+# contract; TestConcurrentPoints runs a serving sweep's load points on
+# concurrent stacks against a one-worker sweep. Under -race the detector
+# watches every cross-shard mailbox and barrier edge.
+go test -race -run 'TestDifferential|TestGoldenTraces|TestStealRepeatRunDigest|TestParallel|TestConcurrentFabricsDistinctQueueCaps|TestConcurrentPoints' \
     ./internal/regress/ ./internal/scenario/ ./internal/comm/ ./internal/workload/openloop/
 go test -race ./internal/sim/par/
 

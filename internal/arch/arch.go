@@ -13,6 +13,7 @@ package arch
 
 import (
 	"fmt"
+	"math"
 
 	"mproxy/internal/sim"
 )
@@ -113,6 +114,37 @@ type Params struct {
 	// Prepinned marks custom hardware, whose buffers are permanently
 	// pinned at setup time (the paper's deliberate bias toward HW).
 	Prepinned bool
+}
+
+// Validate reports the first parameter that no design point can have and
+// that would make a simulation fail part-way through — the zero Params
+// included, whose zero Speed turns every instruction cost infinite: an
+// unknown Kind, a non-positive Speed or PageSize, or a negative latency,
+// overhead or bandwidth.
+func (p Params) Validate() error {
+	if p.Kind < CustomHW || p.Kind > Syscall {
+		return fmt.Errorf("arch %q: unknown kind %v", p.Name, p.Kind)
+	}
+	if !(p.Speed > 0) || math.IsInf(p.Speed, 0) {
+		return fmt.Errorf("arch %q: agent speed %v, want a positive multiple of 75 MHz", p.Name, p.Speed)
+	}
+	if p.PageSize <= 0 {
+		return fmt.Errorf("arch %q: page size %d, want > 0", p.Name, p.PageSize)
+	}
+	times := []sim.Time{p.CacheMiss, p.AgentMiss, p.Uncached, p.VMAtt, p.PollBase,
+		p.AdapterOvh, p.ComputeOvh, p.SyscallOvh, p.InterruptOvh, p.ProtocolOvh,
+		p.NetLatency, p.PinPerPage}
+	for _, t := range times {
+		if t < 0 {
+			return fmt.Errorf("arch %q: negative latency or overhead %v", p.Name, t)
+		}
+	}
+	for _, bw := range []float64{p.DMABW, p.NetBW, p.PIOBW, p.MemBW} {
+		if !(bw >= 0) {
+			return fmt.Errorf("arch %q: bandwidth %v MB/s, want >= 0", p.Name, bw)
+		}
+	}
+	return nil
 }
 
 // PollDelay returns P for this design point.

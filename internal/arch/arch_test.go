@@ -144,3 +144,26 @@ func TestGenerationOrdering(t *testing.T) {
 		t.Error("MP2 must be MP1 plus the cache-update primitive only")
 	}
 }
+
+func TestValidate(t *testing.T) {
+	for _, a := range All {
+		if err := a.Validate(); err != nil {
+			t.Errorf("%s: %v", a.Name, err)
+		}
+	}
+	for name, mut := range map[string]func(*Params){
+		"zero":           func(p *Params) { *p = Params{} },
+		"unknown kind":   func(p *Params) { p.Kind = Syscall + 1 },
+		"zero speed":     func(p *Params) { p.Speed = 0 },
+		"zero page":      func(p *Params) { p.PageSize = 0 },
+		"negative wire":  func(p *Params) { p.NetLatency = -1 },
+		"negative bw":    func(p *Params) { p.NetBW = -1 },
+		"negative cache": func(p *Params) { p.CacheMiss = -sim.Micros(1) },
+	} {
+		p := MP1
+		mut(&p)
+		if err := p.Validate(); err == nil {
+			t.Errorf("%s: accepted %+v", name, p)
+		}
+	}
+}

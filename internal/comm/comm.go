@@ -295,6 +295,10 @@ var fabricHook func(*Fabric)
 // subsequently built fabric, after its endpoints and command queues exist.
 func OnNewFabric(fn func(*Fabric)) { fabricHook = fn }
 
+// FabricHookInstalled reports whether an OnNewFabric hook is active; see
+// machine.ClusterHookInstalled.
+func FabricHookInstalled() bool { return fabricHook != nil }
+
 // Endpoints returns all endpoints, indexed by global rank.
 func (f *Fabric) Endpoints() []*Endpoint { return f.eps }
 

@@ -75,6 +75,11 @@ var clusterHook func(*Cluster)
 // subsequently built cluster, after its nodes, links and agents exist.
 func OnNewCluster(fn func(*Cluster)) { clusterHook = fn }
 
+// ClusterHookInstalled reports whether an OnNewCluster hook is active.
+// Drivers that build clusters concurrently must check it and fall back
+// to one at a time: the hook is not synchronized.
+func ClusterHookInstalled() bool { return clusterHook != nil }
+
 // Config describes a cluster topology.
 type Config struct {
 	Nodes        int // SMP nodes

@@ -160,6 +160,10 @@ var netHook func(*Net)
 // Net built by NewNet.
 func OnNewNet(fn func(*Net)) { netHook = fn }
 
+// NetHookInstalled reports whether an OnNewNet hook is active; see
+// machine.ClusterHookInstalled.
+func NetHookInstalled() bool { return netHook != nil }
+
 // neighbors builds each switch's port list: every attached node and
 // every cabled switch, sorted by element id so port numbering — and with
 // it route tie-breaking — is a pure function of the graph.

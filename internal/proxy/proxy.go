@@ -35,9 +35,18 @@ type entry[T any] struct {
 
 // CommandQueue is a bounded SPSC ring of T. Only the owning rank may
 // produce into it; only the proxy consumes.
+//
+// The ring is sized by demand, not by capacity: it starts empty, doubles
+// (up to the capacity) when an enqueue finds it full, and rewinds head
+// and tail to slot 0 whenever it drains. A queue that never holds more
+// than d commands therefore costs O(d) memory however large its
+// capacity, which is what lets a 1k-node cluster's thousands of mostly
+// shallow queues stay small. Growth never reorders entries, and the
+// capacity alone decides when Enqueue reports ErrFull.
 type CommandQueue[T any] struct {
 	owner    int
 	ring     []entry[T]
+	capacity int
 	head     int // consumer position
 	tail     int // producer position
 	n        int // valid entries, maintained by Enqueue and Dequeue
@@ -45,59 +54,81 @@ type CommandQueue[T any] struct {
 	fullHits int64
 }
 
+// minRing is the first ring size a queue allocates.
+const minRing = 2
+
 // NewCommandQueue returns a queue of the given capacity owned by rank.
 func NewCommandQueue[T any](owner, capacity int) *CommandQueue[T] {
 	if capacity <= 0 {
 		panic("proxy: command queue capacity must be positive")
 	}
-	return &CommandQueue[T]{owner: owner, ring: make([]entry[T], capacity)}
+	return &CommandQueue[T]{owner: owner, capacity: capacity}
 }
 
 // Owner returns the producing rank.
 func (q *CommandQueue[T]) Owner() int { return q.owner }
 
 // Cap returns the queue capacity.
-func (q *CommandQueue[T]) Cap() int { return len(q.ring) }
+func (q *CommandQueue[T]) Cap() int { return q.capacity }
 
 // Enqueue submits a command on behalf of rank. It fails with ErrFull when
-// the ring has no empty entry, and panics if a foreign rank produces into
-// the queue — foreign processes cannot reach it in a real system, since it
-// is mapped only in the owner's address space.
+// the queue holds Cap() commands, and panics if a foreign rank produces
+// into the queue — foreign processes cannot reach it in a real system,
+// since it is mapped only in the owner's address space.
 func (q *CommandQueue[T]) Enqueue(rank int, cmd T) error {
 	if rank != q.owner {
 		panic(fmt.Sprintf("proxy: rank %d produced into rank %d's command queue", rank, q.owner))
 	}
-	e := &q.ring[q.tail]
-	if e.valid {
-		q.fullHits++
-		return ErrFull
+	if q.n == len(q.ring) {
+		if q.n == q.capacity {
+			q.fullHits++
+			return ErrFull
+		}
+		q.grow()
 	}
+	e := &q.ring[q.tail]
 	e.cmd = cmd
 	e.valid = true
-	q.tail = (q.tail + 1) % len(q.ring)
+	if q.tail++; q.tail == len(q.ring) {
+		q.tail = 0
+	}
 	q.n++
 	q.enqueued++
 	return nil
 }
 
+// grow doubles the full ring, capped at the capacity, copying the queued
+// commands to slots 0..n-1 in FIFO order.
+func (q *CommandQueue[T]) grow() {
+	size := min(max(2*len(q.ring), minRing), q.capacity)
+	ring := make([]entry[T], size)
+	for i := 0; i < q.n; i++ {
+		ring[i] = q.ring[(q.head+i)%len(q.ring)]
+	}
+	q.ring, q.head, q.tail = ring, 0, q.n
+}
+
 // Dequeue removes the head command, if any (consumer side).
 func (q *CommandQueue[T]) Dequeue() (T, bool) {
-	e := &q.ring[q.head]
-	if !e.valid {
-		var zero T
+	var zero T
+	if q.n == 0 {
 		return zero, false
 	}
+	e := &q.ring[q.head]
 	cmd := e.cmd
-	var zero T
 	e.cmd = zero
 	e.valid = false
-	q.head = (q.head + 1) % len(q.ring)
 	q.n--
+	if q.n == 0 {
+		q.head, q.tail = 0, 0 // rewind: a drained queue reuses its first slots
+	} else if q.head++; q.head == len(q.ring) {
+		q.head = 0
+	}
 	return cmd, true
 }
 
 // Empty reports whether the queue has no valid entries.
-func (q *CommandQueue[T]) Empty() bool { return !q.ring[q.head].valid }
+func (q *CommandQueue[T]) Empty() bool { return q.n == 0 }
 
 // Len returns the number of valid entries in O(1): the submit paths emit
 // it on every command enqueue, so it must not walk the ring.

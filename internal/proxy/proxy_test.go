@@ -1,6 +1,7 @@
 package proxy
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -365,5 +366,95 @@ func TestPropertyLenMatchesRingWalk(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestPropertyQueueMatchesReferenceFIFO(t *testing.T) {
+	// Property: at every capacity from 1 to 70, a random stream of
+	// enqueues and dequeues — long enough to grow the ring to capacity
+	// and to drain (rewinding it) many times — behaves exactly like an
+	// unbounded reference FIFO cut off at the capacity. ErrFull happens
+	// exactly when Len()==Cap(), FullHits counts every rejected submit,
+	// and the ring never outgrows the capacity.
+	rng := rand.New(rand.NewSource(1))
+	for capacity := 1; capacity <= 70; capacity++ {
+		q := NewCommandQueue[int](0, capacity)
+		var ref []int
+		var rejected int64
+		next := 0
+		for step := 0; step < 40*capacity+200; step++ {
+			// Phases biased toward filling, then toward draining, so the
+			// stream reaches full and empty at every capacity.
+			pEnq := 0.7
+			if (step/(2*capacity+4))%2 == 1 {
+				pEnq = 0.3
+			}
+			if rng.Float64() < pEnq {
+				full := q.Len() == q.Cap()
+				err := q.Enqueue(0, next)
+				if full != (err == ErrFull) || (err != nil && err != ErrFull) {
+					t.Fatalf("cap %d step %d: Enqueue at Len %d = %v", capacity, step, q.Len(), err)
+				}
+				if err == nil {
+					ref = append(ref, next)
+					next++
+				} else {
+					rejected++
+				}
+			} else {
+				v, ok := q.Dequeue()
+				if ok != (len(ref) > 0) || (ok && v != ref[0]) {
+					t.Fatalf("cap %d step %d: Dequeue = %d, %v; reference %v", capacity, step, v, ok, ref)
+				}
+				if ok {
+					ref = ref[1:]
+				}
+			}
+			if q.Len() != len(ref) || q.Len() != ringLen(q) || q.Empty() != (len(ref) == 0) {
+				t.Fatalf("cap %d step %d: Len %d, ring walk %d, reference %d", capacity, step, q.Len(), ringLen(q), len(ref))
+			}
+			if len(q.ring) > capacity || q.Cap() != capacity {
+				t.Fatalf("cap %d step %d: ring of %d slots, Cap %d", capacity, step, len(q.ring), q.Cap())
+			}
+			if q.FullHits() != rejected {
+				t.Fatalf("cap %d step %d: FullHits %d, rejected %d", capacity, step, q.FullHits(), rejected)
+			}
+		}
+		if q.Enqueued() != int64(next) {
+			t.Fatalf("cap %d: Enqueued %d, accepted %d", capacity, q.Enqueued(), next)
+		}
+		if rejected == 0 || len(q.ring) != capacity {
+			t.Fatalf("cap %d: the stream never filled the queue (%d rejected, ring of %d)", capacity, rejected, len(q.ring))
+		}
+	}
+}
+
+func TestCommandQueueSteadyStateAllocatesNothing(t *testing.T) {
+	// Once the ring has grown to a depth, traffic that stays within that
+	// depth — wrapping around the ring or draining it — never allocates.
+	q := NewCommandQueue[int](0, 64)
+	const depth = 5
+	for i := 0; i < depth; i++ {
+		_ = q.Enqueue(0, i)
+	}
+	for !q.Empty() {
+		q.Dequeue()
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		for i := 0; i < depth; i++ {
+			_ = q.Enqueue(0, i)
+		}
+		for i := 0; i < depth-1; i++ {
+			q.Dequeue()
+		}
+		for i := 0; i < depth-1; i++ {
+			_ = q.Enqueue(0, i) // wraps around the end of the ring
+		}
+		for !q.Empty() {
+			q.Dequeue()
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("steady-state traffic allocates %v per run", allocs)
 	}
 }

@@ -1,7 +1,7 @@
-// Package regress defines the golden-trace regression harness: canonical
-// simulation scenarios whose complete event streams are folded into a
-// digest (trace.Digest) and compared against blessed golden files under
-// testdata/. Any change to the latency model, the event engine, the proxy
+// Package regress is the golden-trace regression harness, and exists
+// only as tests: canonical simulation scenarios whose complete event
+// streams are folded into a digest (trace.Digest) and compared against
+// blessed golden files under testdata/. Any change to the latency model, the event engine, the proxy
 // dispatch loop, or the communication protocol changes a digest and fails
 // the suite until the goldens are explicitly re-blessed with
 //

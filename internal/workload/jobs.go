@@ -4,10 +4,13 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"mproxy/internal/apps"
 	"mproxy/internal/arch"
+	"mproxy/internal/comm"
 	"mproxy/internal/machine"
+	"mproxy/internal/machine/topo"
 	"mproxy/internal/sim"
 )
 
@@ -25,71 +28,78 @@ type Job struct {
 }
 
 // RunJobs executes every job and returns their results in job order.
-// Jobs run on a bounded pool of worker goroutines — each cell owns an
-// independent sim.Engine, and the simulator keeps all mutable state
-// inside the engine, so cells are embarrassingly parallel and results
-// are bit-identical to a serial run. workers <= 0 picks GOMAXPROCS.
-// When a process-wide tracer is installed (tracecli) the pool degrades
-// to a single worker: the shared tracer is not synchronized, and trace
-// streams interleaved across engines would be meaningless anyway.
+// Jobs run on a ForEach pool of workers goroutines (<= 0 picks
+// GOMAXPROCS) — each cell owns an independent sim.Engine, and the
+// simulator keeps all mutable state inside the engine, so cells are
+// embarrassingly parallel and results are bit-identical to a serial run.
 //
 // The first job error aborts scheduling of not-yet-started jobs and is
 // returned; completed results are still valid.
 func RunJobs(jobs []Job, workers int) ([]Result, error) {
+	results := make([]Result, len(jobs))
+	err := ForEach(len(jobs), workers, func(i int) error {
+		j := jobs[i]
+		res, err := Run(j.Factory(), j.Arch, machine.Config{Nodes: j.Nodes, ProcsPerNode: j.PPN}, j.Opts)
+		results[i] = res
+		if err != nil {
+			return fmt.Errorf("job %d (%s %dx%d): %w", i, j.Arch.Name, j.Nodes, j.PPN, err)
+		}
+		return nil
+	})
+	return results, err
+}
+
+// ForEach calls run(i) for every i in [0, n) on a pool of workers
+// goroutines (<= 0 picks GOMAXPROCS, and never more than n) and returns
+// once every started call has returned. Indices are handed out in
+// ascending order; after a failure no further index starts, so every
+// index below a failing one has run to completion and the error returned
+// — that of the lowest failing index — is the one a serial loop would
+// have stopped at. Each call must own the state it mutates: callers
+// write their outputs to per-index slots.
+//
+// The pool degrades to one worker while a process-wide observer is
+// installed — the global tracer (sim.SetGlobalTracer) or a
+// cluster/net/fabric construction hook (machine.OnNewCluster,
+// topo.OnNewNet, comm.OnNewFabric). Those observers are not synchronized,
+// and what they record depends on the order engines are built and run.
+func ForEach(n, workers int, run func(i int) error) error {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if sim.GlobalTracerInstalled() {
+	if sim.GlobalTracerInstalled() || machine.ClusterHookInstalled() ||
+		topo.NetHookInstalled() || comm.FabricHookInstalled() {
 		workers = 1
 	}
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	results := make([]Result, len(jobs))
-	errs := make([]error, len(jobs))
+	workers = min(workers, n)
+	errs := make([]error, n)
 	var (
-		mu   sync.Mutex
-		next int
-		wg   sync.WaitGroup
+		next   atomic.Int64
+		failed atomic.Bool
+		wg     sync.WaitGroup
 	)
-	failed := func() bool {
-		mu.Lock()
-		defer mu.Unlock()
-		for _, e := range errs {
-			if e != nil {
-				return true
-			}
-		}
-		return false
-	}
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for {
-				mu.Lock()
-				i := next
-				next++
-				mu.Unlock()
-				if i >= len(jobs) || failed() {
+			for !failed.Load() {
+				i := int(next.Add(1) - 1)
+				if i >= n {
 					return
 				}
-				j := jobs[i]
-				res, err := Run(j.Factory(), j.Arch, machine.Config{Nodes: j.Nodes, ProcsPerNode: j.PPN}, j.Opts)
-				mu.Lock()
-				results[i], errs[i] = res, err
-				mu.Unlock()
+				if errs[i] = run(i); errs[i] != nil {
+					failed.Store(true)
+				}
 			}
 		}()
 	}
 	wg.Wait()
-	for i, err := range errs {
+	for _, err := range errs {
 		if err != nil {
-			j := jobs[i]
-			return results, fmt.Errorf("job %d (%s %dx%d): %w", i, j.Arch.Name, j.Nodes, j.PPN, err)
+			return err
 		}
 	}
-	return results, nil
+	return nil
 }
 
 // SpeedupsJ runs an application factory over the processor counts (one

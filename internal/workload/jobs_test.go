@@ -1,8 +1,11 @@
 package workload
 
 import (
+	"fmt"
 	"reflect"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"mproxy/internal/apps"
 	"mproxy/internal/apps/registry"
@@ -139,5 +142,57 @@ func TestPerJobTracersComposeWithParallelism(t *testing.T) {
 	parallel := run(4)
 	if !reflect.DeepEqual(serial, parallel) {
 		t.Fatalf("per-job digests diverge between pool sizes:\nserial:   %v\nparallel: %v", serial, parallel)
+	}
+}
+
+// TestForEachReturnsLowestFailingIndex makes a high index fail first
+// while a lower one is still running: ForEach must wait for the lower
+// one and return its error, the one a serial loop stops at.
+func TestForEachReturnsLowestFailingIndex(t *testing.T) {
+	sixFailed := make(chan struct{})
+	err := ForEach(8, 4, func(i int) error {
+		switch i {
+		case 3:
+			select {
+			case <-sixFailed:
+			case <-time.After(10 * time.Second):
+			}
+			return fmt.Errorf("index %d", i)
+		case 6:
+			close(sixFailed)
+			return fmt.Errorf("index %d", i)
+		}
+		return nil
+	})
+	if err == nil || err.Error() != "index 3" {
+		t.Fatalf("err = %v, want index 3", err)
+	}
+}
+
+// TestForEachSerialUnderHooks checks the fallback: while a cluster hook
+// is installed no two calls overlap, whatever the worker count.
+func TestForEachSerialUnderHooks(t *testing.T) {
+	machine.OnNewCluster(func(*machine.Cluster) {})
+	defer machine.OnNewCluster(nil)
+	var active, peak atomic.Int32
+	done := make([]bool, 6)
+	if err := ForEach(len(done), 4, func(i int) error {
+		if n := active.Add(1); n > peak.Load() {
+			peak.Store(n)
+		}
+		time.Sleep(time.Millisecond)
+		done[i] = true
+		active.Add(-1)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if peak.Load() != 1 {
+		t.Fatalf("%d calls overlapped under an installed hook", peak.Load())
+	}
+	for i, d := range done {
+		if !d {
+			t.Fatalf("index %d never ran", i)
+		}
 	}
 }

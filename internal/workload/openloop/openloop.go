@@ -9,10 +9,16 @@
 // function of (seed, topology, load ladder). Sweeping the ladder from
 // light to heavy load exposes the saturation knee: the last offered load
 // whose p99 stays within 3x of the lightest point's.
+//
+// Load points share nothing but read-only config: each builds its own
+// cluster and engine and draws from streams keyed by its ladder index.
+// Run therefore executes them concurrently, one stack per worker, and
+// the sweep's result does not depend on how many workers there were.
 package openloop
 
 import (
 	"fmt"
+	"math"
 
 	"mproxy/internal/am"
 	"mproxy/internal/arch"
@@ -25,10 +31,13 @@ import (
 	"mproxy/internal/sim/par"
 	"mproxy/internal/trace/flight"
 	"mproxy/internal/trace/metrics"
+	"mproxy/internal/workload"
 )
 
 // Config parameterizes a serving sweep. Every load point builds a fresh
-// cluster, so points are independent and any one can be rerun alone.
+// cluster, so points are independent, any one can be rerun alone, and
+// Run executes them concurrently (see Run). Validate checks a Config;
+// Run calls it before any point starts.
 type Config struct {
 	Arch    arch.Params
 	Nodes   int
@@ -120,50 +129,94 @@ type Result struct {
 	TotalIssued   int64   `json:"total_issued"`
 }
 
-// Run executes the sweep.
-func Run(cfg Config) (Result, error) {
-	if cfg.Nodes <= 0 || cfg.Clients <= 0 {
-		return Result{}, fmt.Errorf("openloop: need nodes and clients, got %d x %d", cfg.Nodes, cfg.Clients)
+// Validate reports the first problem that would make the sweep fail or
+// panic part-way through. Run calls it before any load point starts, so
+// a bad config is an error, never a crash inside a pool worker.
+func (c Config) Validate() error {
+	if err := c.Arch.Validate(); err != nil {
+		return fmt.Errorf("openloop: %w", err)
 	}
-	if cfg.Requests <= 0 || len(cfg.LoadUs) == 0 {
-		return Result{}, fmt.Errorf("openloop: need requests and a load ladder")
+	if c.Nodes <= 0 || c.Clients <= 0 {
+		return fmt.Errorf("openloop: need nodes and clients, got %d x %d", c.Nodes, c.Clients)
+	}
+	if c.Requests <= 0 || len(c.LoadUs) == 0 {
+		return fmt.Errorf("openloop: need requests and a load ladder")
+	}
+	if c.Warmup < 0 {
+		return fmt.Errorf("openloop: negative warmup %d", c.Warmup)
+	}
+	for idx, loadUs := range c.LoadUs {
+		if !(loadUs > 0) || math.IsInf(loadUs, 0) {
+			return fmt.Errorf("openloop: load point %d is %v us", idx, loadUs)
+		}
+	}
+	switch c.Arrival {
+	case "", "poisson", "onoff":
+	default:
+		return fmt.Errorf("openloop: unknown arrival process %q (want poisson or onoff)", c.Arrival)
+	}
+	if err := c.machine().Validate(); err != nil {
+		return fmt.Errorf("openloop: %w", err)
+	}
+	if c.SimShards > 1 {
+		if c.Nodes%c.SimShards != 0 || c.SimShards > c.Nodes {
+			return fmt.Errorf("openloop: %d nodes cannot split into %d equal shards", c.Nodes, c.SimShards)
+		}
+		if c.Arch.NetLatency <= 0 {
+			return fmt.Errorf("openloop: parallel execution needs a positive wire latency for lookahead, got %v", c.Arch.NetLatency)
+		}
+		if c.Flight != nil {
+			return fmt.Errorf("openloop: the flight recorder is sequential-only; unset Flight or SimShards")
+		}
+		if sim.GlobalTracerInstalled() {
+			return fmt.Errorf("openloop: a process-global tracer is installed; parallel shards cannot share it")
+		}
+	}
+	return nil
+}
+
+// machine is the cluster every load point builds (SimShards is set
+// separately, on sharded runs only).
+func (c Config) machine() machine.Config {
+	return machine.Config{
+		Nodes:          c.Nodes,
+		ProcsPerNode:   1 + c.Clients,
+		ProxiesPerNode: c.Proxies,
+		ProxySched:     c.ProxySched,
+	}
+}
+
+// Run executes the sweep. Load points run concurrently on a
+// workload.ForEach pool of min(GOMAXPROCS, len(LoadUs)) workers — one
+// worker when SimShards > 1, since a sharded point already runs one
+// thread per shard — and Points is assembled in ladder order. Each
+// point's stack and generator streams depend only on (Seed, point
+// index), so the result is identical at any worker count.
+func Run(cfg Config) (Result, error) {
+	if err := cfg.Validate(); err != nil {
+		return Result{}, err
 	}
 	if cfg.Keys <= 0 {
 		cfg.Keys = 1 << 16
 	}
-	switch cfg.Arrival {
-	case "", "poisson", "onoff":
-	default:
-		return Result{}, fmt.Errorf("openloop: unknown arrival process %q (want poisson or onoff)", cfg.Arrival)
-	}
+	workers := 0 // GOMAXPROCS
 	if cfg.SimShards > 1 {
-		if cfg.Nodes%cfg.SimShards != 0 || cfg.SimShards > cfg.Nodes {
-			return Result{}, fmt.Errorf("openloop: %d nodes cannot split into %d equal shards", cfg.Nodes, cfg.SimShards)
-		}
-		if cfg.Arch.NetLatency <= 0 {
-			return Result{}, fmt.Errorf("openloop: parallel execution needs a positive wire latency for lookahead, got %v", cfg.Arch.NetLatency)
-		}
-		if cfg.Flight != nil {
-			return Result{}, fmt.Errorf("openloop: the flight recorder is sequential-only; unset Flight or SimShards")
-		}
-		if sim.GlobalTracerInstalled() {
-			return Result{}, fmt.Errorf("openloop: a process-global tracer is installed; parallel shards cannot share it")
-		}
+		workers = 1
 	}
 	zp := zipfFor(cfg.Keys, cfg.Theta)
-	var res Result
-	for idx, loadUs := range cfg.LoadUs {
-		if loadUs <= 0 {
-			return Result{}, fmt.Errorf("openloop: load point %d is %v us", idx, loadUs)
-		}
-		pt, err := runPoint(&cfg, zp, idx, loadUs)
-		if err != nil {
-			return Result{}, err
-		}
-		res.Points = append(res.Points, pt)
+	pts := make([]Point, len(cfg.LoadUs))
+	err := workload.ForEach(len(pts), workers, func(idx int) (err error) {
+		pts[idx], err = runPoint(&cfg, zp, idx, cfg.LoadUs[idx])
+		return err
+	})
+	if err != nil {
+		return Result{}, err
+	}
+	res := Result{Points: pts}
+	for _, pt := range pts {
 		res.TotalIssued += pt.Issued
 	}
-	res.KneeLoadUs, res.SaturationRPS = knee(res.Points)
+	res.KneeLoadUs, res.SaturationRPS = knee(pts)
 	return res, nil
 }
 
@@ -319,12 +372,7 @@ func runPoint(cfg *Config, zp *zipfParams, idx int, loadUs float64) (Point, erro
 	}
 	eng := engs[0]
 	ppn := 1 + cfg.Clients
-	mcfg := machine.Config{
-		Nodes:          cfg.Nodes,
-		ProcsPerNode:   ppn,
-		ProxiesPerNode: cfg.Proxies,
-		ProxySched:     cfg.ProxySched,
-	}
+	mcfg := cfg.machine()
 	var cl *machine.Cluster
 	var ps *par.Sim
 	if shards > 1 {
@@ -341,7 +389,7 @@ func runPoint(cfg *Config, zp *zipfParams, idx int, loadUs float64) (Point, erro
 	if cfg.Topo != "" {
 		g, err := topo.ByName(cfg.Topo, cfg.Nodes)
 		if err != nil {
-			return Point{}, err
+			return Point{}, fmt.Errorf("openloop: load point %v us: %w", loadUs, err)
 		}
 		net = topo.NewNet(cl, g)
 		cl.SetInterconnect(net)
