@@ -116,13 +116,13 @@ done
 
 echo "== race shard (recorded digests + parallel determinism + concurrent fabrics)"
 # TestDifferential* checks every preset against its recorded output
-# digest (TestDifferentialPresets, TestDifferentialMultiProxyServing)
-# and sharded against sequential runs (TestDifferentialParSequential);
+# digest (TestDifferentialPresets, TestDifferentialMultiProxyServing);
 # TestGoldenTraces replays the regress event streams, and
 # TestDifferentialExecModes replays them on a single-threaded scheduler
-# with per-event trace delivery; TestParallel* adds
-# the parallel driver's repeat-run determinism and warn-and-fall-back
-# contract; TestConcurrentPoints runs a serving sweep's load points on
+# with per-event trace delivery; TestParallel* runs the openloop par
+# suite (sharded vs sequential on small clusters, repeat-run
+# determinism, bad-config rejection) for the library-only sharded mode;
+# TestConcurrentPoints runs a serving sweep's load points on
 # concurrent stacks against a one-worker sweep. Under -race the detector
 # watches every cross-shard mailbox and barrier edge.
 go test -race -run 'TestDifferential|TestGoldenTraces|TestStealRepeatRunDigest|TestParallel|TestConcurrentFabricsDistinctQueueCaps|TestConcurrentPoints' \

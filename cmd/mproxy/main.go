@@ -363,12 +363,11 @@ func buildRun(args []string, stdout, stderr io.Writer) (scenario.Spec, bool, int
 	forensics := fs.String("forensics", "", "override the serving forensics output directory (must exist; empty keeps the spec's)")
 	cpuProfile := fs.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 	memProfile := fs.String("memprofile", "", "write a pprof heap profile (post-run, after GC) to this file")
-	shards := fs.Int("shards", -1, "simulation shards for parallel-eligible runs: N explicit, 0 auto (largest divisor of the node count within GOMAXPROCS), -1 keeps the spec's; ineligible specs warn and run sequentially")
 	if err := fs.Parse(args); err != nil {
 		return scenario.Spec{}, true, 2
 	}
 	if fs.NArg() != 1 {
-		fmt.Fprintln(stderr, "usage: mproxy run [-manifest file] [-forensics dir] [-shards n] [-cpuprofile file] [-memprofile file] <preset|spec.json>")
+		fmt.Fprintln(stderr, "usage: mproxy run [-manifest file] [-forensics dir] [-cpuprofile file] [-memprofile file] <preset|spec.json>")
 		return scenario.Spec{}, true, 2
 	}
 	target := fs.Arg(0)
@@ -392,15 +391,6 @@ func buildRun(args []string, stdout, stderr io.Writer) (scenario.Spec, bool, int
 	}
 	if *forensics != "" {
 		spec.Obs.Forensics = *forensics
-	}
-	if *shards >= 0 {
-		n := *shards
-		if n == 0 {
-			// Auto: size from the normalized spec's cluster, so presets with
-			// an implicit node count still resolve.
-			n = scenario.AutoShards(spec.Normalize().Topology.Nodes, runtime.GOMAXPROCS(0))
-		}
-		spec.Topology.SimShards = n
 	}
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
@@ -471,9 +461,6 @@ func runList(stdout io.Writer) int {
 				sched = "static"
 			}
 			target += fmt.Sprintf(" [%d proxies/node, %s]", sp.Topology.Proxies, sched)
-		}
-		if ok, _ := scenario.ParallelEligible(sp); ok {
-			target += " [par]"
 		}
 		fmt.Fprintf(stdout, "  %-20s %s%s\n", name, p.Desc, target)
 	}

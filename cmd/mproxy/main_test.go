@@ -250,22 +250,41 @@ func TestRunSpecFile(t *testing.T) {
 }
 
 func TestBadInvocations(t *testing.T) {
+	// A 1-node cluster has no multi-switch topology: the spec must fail
+	// validation, not panic inside a load-point worker.
+	dir := t.TempDir()
+	oneNode := map[string]string{
+		"serving-fattree-1node.json":      `{"kind":"serving","topology":{"nodes":1}}`,
+		"proxysweep-dragonfly-1node.json": `{"kind":"proxy-sweep","topology":{"nodes":1},"serving":{"topo":"dragonfly"}}`,
+	}
+	for name, spec := range oneNode {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(spec), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
 	cases := []struct {
 		args []string
 		code int
+		want string // stderr substring; empty checks only the exit code
 	}{
-		{nil, 2},
-		{[]string{"frobnicate"}, 2},
-		{[]string{"run"}, 2},
-		{[]string{"run", "no-such-preset"}, 1},
-		{[]string{"micro", "-archs", "MP9"}, 1},
-		{[]string{"apps", "-procs", "two"}, 2},
-		{[]string{"fault", "-rates", "many"}, 2},
+		{nil, 2, ""},
+		{[]string{"frobnicate"}, 2, ""},
+		{[]string{"run"}, 2, ""},
+		{[]string{"run", "no-such-preset"}, 1, ""},
+		{[]string{"run", "-shards", "2", "serving-smoke"}, 2, "-shards"},
+		{[]string{"run", filepath.Join(dir, "serving-fattree-1node.json")}, 1, "fat-tree needs >= 2 nodes"},
+		{[]string{"run", filepath.Join(dir, "proxysweep-dragonfly-1node.json")}, 1, "dragonfly needs >= 2 nodes"},
+		{[]string{"micro", "-archs", "MP9"}, 1, ""},
+		{[]string{"apps", "-procs", "two"}, 2, ""},
+		{[]string{"fault", "-rates", "many"}, 2, ""},
 	}
 	for _, tc := range cases {
 		var stdout, stderr bytes.Buffer
 		if code := run(tc.args, &stdout, &stderr); code != tc.code {
 			t.Errorf("run(%v) exit %d, want %d (stderr: %s)", tc.args, code, tc.code, stderr.String())
+		}
+		if !strings.Contains(stderr.String(), tc.want) || strings.Contains(stderr.String(), "goroutine") {
+			t.Errorf("run(%v) stderr %q: want an error naming %q and no goroutine trace", tc.args, stderr.String(), tc.want)
 		}
 	}
 }

@@ -95,11 +95,6 @@ type Config struct {
 	// affinity, or "steal" for static placement with bounded work stealing
 	// between a node's proxies. Empty means static.
 	ProxySched string
-	// SimShards partitions the cluster's nodes across that many parallel
-	// simulation shards (sim/par), each with its own engine; nodes split
-	// into contiguous blocks of Nodes/SimShards. 0 or 1 means sequential.
-	// Build sharded clusters with NewSharded.
-	SimShards int
 }
 
 // Procs returns the total number of compute processors.
@@ -120,15 +115,6 @@ func (c Config) Validate() error {
 	}
 	if c.Nodes == 0 || c.ProcsPerNode == 0 {
 		return fmt.Errorf("machine: bad config %+v", c)
-	}
-	if c.SimShards < 0 {
-		return fmt.Errorf("machine: negative SimShards %d", c.SimShards)
-	}
-	if c.SimShards > c.Nodes {
-		return fmt.Errorf("machine: SimShards %d exceeds Nodes %d (a shard must own at least one node)", c.SimShards, c.Nodes)
-	}
-	if c.SimShards > 1 && c.Nodes%c.SimShards != 0 {
-		return fmt.Errorf("machine: Nodes %d not divisible by SimShards %d (contiguous equal blocks required)", c.Nodes, c.SimShards)
 	}
 	if _, err := proxy.SchedByName(c.ProxySched); err != nil {
 		return err
@@ -194,30 +180,23 @@ func (c *Cluster) SetInterconnect(ic Interconnect) { c.Net = ic }
 
 // New builds a cluster of cfg.Nodes SMPs under design point a.
 func New(eng *sim.Engine, cfg Config, a arch.Params) *Cluster {
-	if cfg.SimShards > 1 {
-		panic(fmt.Sprintf("machine: Config.SimShards=%d requires NewSharded", cfg.SimShards))
-	}
 	return build(eng, nil, nil, cfg, a)
 }
 
-// NewSharded builds a cluster whose nodes are partitioned across
-// len(engs) == cfg.SimShards parallel shard engines in contiguous blocks
-// of cfg.Nodes/len(engs): every per-node resource (links, DMA, agents)
+// NewSharded builds a cluster whose nodes are partitioned across the
+// len(engs) parallel shard engines (sim/par) in contiguous blocks of
+// cfg.Nodes/len(engs): every per-node resource (links, DMA, agents)
 // lives on its owner shard's engine, and engs[0] additionally hosts the
-// shared registry. The config is validated — including the SimShards
-// divisibility rules — before any model state is built.
+// shared registry. The config and the partition — at least 2 engines,
+// no more than nodes, dividing them evenly — are validated before any
+// model state is built.
 func NewSharded(engs []*sim.Engine, cfg Config, a arch.Params) *Cluster {
-	if err := cfg.Validate(); err != nil {
-		panic(err)
-	}
-	if cfg.SimShards <= 1 {
-		panic(fmt.Sprintf("machine: NewSharded needs SimShards > 1, got %d", cfg.SimShards))
-	}
-	if len(engs) != cfg.SimShards {
-		panic(fmt.Sprintf("machine: NewSharded given %d engines for SimShards=%d", len(engs), cfg.SimShards))
+	shards := len(engs)
+	if shards < 2 || shards > cfg.Nodes || cfg.Nodes%shards != 0 {
+		panic(fmt.Sprintf("machine: NewSharded needs 2 to %d engines that divide %d nodes evenly, got %d", cfg.Nodes, cfg.Nodes, shards))
 	}
 	shard := make([]int32, cfg.Nodes)
-	block := cfg.Nodes / cfg.SimShards
+	block := cfg.Nodes / shards
 	for n := range shard {
 		shard[n] = int32(n / block)
 	}

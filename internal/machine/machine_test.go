@@ -79,11 +79,6 @@ func TestConfigValidate(t *testing.T) {
 		{Config{Nodes: 0, ProcsPerNode: 1}, "bad config"},
 		{Config{Nodes: 2, ProcsPerNode: 0}, "bad config"},
 		{Config{Nodes: 2, ProcsPerNode: 1, ProxySched: "lottery"}, "unknown sched policy"},
-		{Config{Nodes: 8, ProcsPerNode: 1, SimShards: 2}, ""},
-		{Config{Nodes: 8, ProcsPerNode: 1, SimShards: 8}, ""}, // one node per shard is fine
-		{Config{Nodes: 8, ProcsPerNode: 1, SimShards: -2}, "negative SimShards"},
-		{Config{Nodes: 8, ProcsPerNode: 1, SimShards: 3}, "not divisible by SimShards"},
-		{Config{Nodes: 4, ProcsPerNode: 1, SimShards: 8}, "SimShards 8 exceeds Nodes 4"},
 	}
 	for _, c := range cases {
 		err := c.cfg.Validate()
@@ -100,11 +95,10 @@ func TestConfigValidate(t *testing.T) {
 }
 
 // TestNewShardedPlacement checks the contiguous node→shard blocks: every
-// node's resources (links, agents) land on its owner shard's engine, and
-// the sequential constructor refuses sharded configs outright.
+// node's resources (links, agents) land on its owner shard's engine.
 func TestNewShardedPlacement(t *testing.T) {
 	engs := []*sim.Engine{sim.NewEngine(), sim.NewEngine()}
-	c := NewSharded(engs, Config{Nodes: 4, ProcsPerNode: 1, SimShards: 2}, arch.MP1)
+	c := NewSharded(engs, Config{Nodes: 4, ProcsPerNode: 1}, arch.MP1)
 	if !c.Sharded() {
 		t.Fatal("cluster not sharded")
 	}
@@ -122,28 +116,39 @@ func TestNewShardedPlacement(t *testing.T) {
 	}
 }
 
-// TestNewRejectsShardedConfig: a SimShards>1 config must be built with
-// NewSharded; New panics before any model state (or goroutine) exists.
-func TestNewRejectsShardedConfig(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	New(sim.NewEngine(), Config{Nodes: 4, ProcsPerNode: 1, SimShards: 2}, arch.MP1)
-}
-
-// TestNewShardedValidatesFirst: an invalid partition panics out of
-// NewSharded before any agent is constructed (validation must precede
-// every spawn, so a rejected config leaves no model state behind).
+// TestNewShardedValidatesFirst: the shard count is len(engs), and an
+// invalid partition panics out of NewSharded before any agent is
+// constructed (validation must precede every spawn, so a rejected config
+// leaves no model state behind).
 func TestNewShardedValidatesFirst(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
+	cases := []struct {
+		nodes, shards int
+		ok            bool
+	}{
+		{8, 2, true},
+		{8, 8, true}, // one node per shard is fine
+		{8, 0, false},
+		{8, 1, false}, // one engine is a sequential cluster: use New
+		{8, 3, false}, // not divisible
+		{4, 8, false}, // more shards than nodes
+	}
+	for _, c := range cases {
+		engs := make([]*sim.Engine, c.shards)
+		for i := range engs {
+			engs[i] = sim.NewEngine()
 		}
-	}()
-	engs := []*sim.Engine{sim.NewEngine(), sim.NewEngine(), sim.NewEngine()}
-	NewSharded(engs, Config{Nodes: 4, ProcsPerNode: 1, SimShards: 3}, arch.MP1)
+		func() {
+			defer func() {
+				if r := recover(); (r == nil) != c.ok {
+					t.Errorf("NewSharded(%d engines, %d nodes): panic %v, want ok=%v", c.shards, c.nodes, r, c.ok)
+				}
+			}()
+			NewSharded(engs, Config{Nodes: c.nodes, ProcsPerNode: 1}, arch.MP1)
+		}()
+		for _, e := range engs {
+			e.Shutdown()
+		}
+	}
 }
 
 // TestNegativeProxiesPanics: before Config.Validate existed, a negative

@@ -132,13 +132,20 @@ func Dragonfly(n int) Graph {
 }
 
 // ByName builds the named topology ("fat-tree" or "dragonfly") over n
-// nodes.
+// nodes. Unlike the constructors it reports a bad name or a cluster too
+// small for any switch graph (n < 2) as an error.
 func ByName(kind string, n int) (Graph, error) {
+	var build func(int) Graph
 	switch kind {
 	case "fat-tree":
-		return FatTree(n), nil
+		build = FatTree
 	case "dragonfly":
-		return Dragonfly(n), nil
+		build = Dragonfly
+	default:
+		return Graph{}, fmt.Errorf("topo: unknown topology %q (want fat-tree or dragonfly)", kind)
 	}
-	return Graph{}, fmt.Errorf("topo: unknown topology %q (want fat-tree or dragonfly)", kind)
+	if n < 2 {
+		return Graph{}, fmt.Errorf("topo: %s needs >= 2 nodes, got %d", kind, n)
+	}
+	return build(n), nil
 }

@@ -172,3 +172,18 @@ func TestShipDelivers(t *testing.T) {
 		t.Fatalf("fat-tree tiers = %v, want [edge core]", tiers)
 	}
 }
+
+// TestByNameRejects: a bad name or a cluster too small for a switch
+// graph is an error, never the constructors' panic.
+func TestByNameRejects(t *testing.T) {
+	for _, tc := range []struct {
+		kind  string
+		nodes int
+	}{
+		{"fat-tree", 1}, {"dragonfly", 1}, {"fat-tree", 0}, {"dragonfly", -4}, {"torus", 16},
+	} {
+		if _, err := ByName(tc.kind, tc.nodes); err == nil {
+			t.Errorf("ByName(%q, %d) accepted", tc.kind, tc.nodes)
+		}
+	}
+}

@@ -53,8 +53,10 @@ func TestPhaseSumExact(t *testing.T) {
 
 // TestModelDelta checks the measured-vs-model acceptance bar on the
 // calibrated serialized scenario: every phase of every architecture's
-// PUT and GET must sit within 5% of the analytic phase prediction (in
-// practice the deviation is sub-0.1%, pure nanosecond rounding).
+// PUT and GET must sit within 1 ns of the analytic phase prediction.
+// The only deviation is nanosecond rounding of the simulated clock; the
+// largest across the six design points is 0.86 ns (HW0 total, two
+// rounded phases), 0.57 ns for a single phase (MP1 GET wire).
 func TestModelDelta(t *testing.T) {
 	for _, archName := range allArchs {
 		for _, op := range []string{"PUT", "GET"} {
@@ -79,9 +81,9 @@ func TestModelDelta(t *testing.T) {
 					}
 					continue
 				}
-				if d := math.Abs(row.DeltaPct); d > 5 {
-					t.Errorf("%s %s %s: measured %.4fus vs model %.4fus (delta %.2f%%)",
-						archName, op, row.Phase, row.MeasuredUs, row.ModelUs, row.DeltaPct)
+				if d := math.Abs(row.MeasuredUs - row.ModelUs); d > 1e-3 {
+					t.Errorf("%s %s %s: measured %.4fus vs model %.4fus (off by %.2f ns)",
+						archName, op, row.Phase, row.MeasuredUs, row.ModelUs, 1e3*d)
 				}
 			}
 			if modeled < 4 {

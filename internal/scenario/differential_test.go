@@ -153,98 +153,6 @@ func TestDifferentialMultiProxyServing(t *testing.T) {
 	checkCases(t, cases, func(s Spec) string { return s.Topology.ProxySched })
 }
 
-// runWithShards renders the spec at the requested shard count, returning
-// the manifest and the full output bytes.
-func runWithShards(t *testing.T, spec Spec, shards int) (Manifest, []byte) {
-	t.Helper()
-	spec.Topology.SimShards = shards
-	var buf bytes.Buffer
-	mf, err := Run(spec, &buf)
-	if err != nil {
-		t.Fatalf("shards=%d: %v", shards, err)
-	}
-	return mf, buf.Bytes()
-}
-
-// parDiffSpecs collects the sharded-execution differential corpus: every
-// parallel-eligible preset (shrunk like the recorded-digest corpus) plus
-// the explicit multi-proxy cases under each scheduling policy.
-func parDiffSpecs(t *testing.T) []Spec {
-	var specs []Spec
-	for _, name := range PresetNames() {
-		p, err := PresetByName(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ok, _ := ParallelEligible(p.Spec); !ok {
-			continue
-		}
-		specs = append(specs, diffScale(p.Spec))
-	}
-	if len(specs) == 0 {
-		t.Fatal("no parallel-eligible presets: the [par] surface is dead")
-	}
-	for _, sched := range []string{"static", "shard", "steal"} {
-		specs = append(specs, multiProxyServingSpec(sched))
-	}
-	return specs
-}
-
-// TestDifferentialParSequential holds sharded execution to the
-// sequential render across the whole published surface: for every
-// parallel-eligible preset and every proxy-scheduling policy, the
-// output bytes AND the manifest must be identical at 1, 2 and 8 shards
-// to the sequential run. Combined with the recorded digests above, the
-// sharded runs reproduce the same reference bytes.
-func TestDifferentialParSequential(t *testing.T) {
-	for _, spec := range parDiffSpecs(t) {
-		t.Run(spec.Name, func(t *testing.T) {
-			seqMF, seqOut := runWithShards(t, spec, 0)
-			for _, shards := range []int{1, 2, 8} {
-				mf, out := runWithShards(t, spec, shards)
-				if !bytes.Equal(out, seqOut) {
-					t.Errorf("shards=%d output diverges: %d bytes (sha %s) vs sequential %d bytes (sha %s)",
-						shards, len(out), mf.OutputSHA256, len(seqOut), seqMF.OutputSHA256)
-				}
-				if mf != seqMF {
-					t.Errorf("shards=%d manifest diverges:\n  par %+v\n  seq %+v", shards, mf, seqMF)
-				}
-			}
-		})
-	}
-}
-
-// TestParallelRepeatRunDigest pins run-to-run determinism of the
-// sharded executor at the scenario surface: with OS threads racing
-// freely (and under -race, with the detector watching the cross-shard
-// edges), two 8-shard runs must digest identically.
-func TestParallelRepeatRunDigest(t *testing.T) {
-	spec := multiProxyServingSpec("steal")
-	first, firstOut := runWithShards(t, spec, 8)
-	second, secondOut := runWithShards(t, spec, 8)
-	if !bytes.Equal(firstOut, secondOut) || first != second {
-		t.Fatalf("8-shard repeat run diverges:\n  first  %+v\n  second %+v", first, second)
-	}
-}
-
-// TestParallelIneligibleFallsBack pins the warn-and-fall-back contract:
-// a spec that cannot shard (here: the forensics recorder is engine-
-// global) still runs — sequentially — and produces exactly the bytes
-// and manifest of the unsharded run.
-func TestParallelIneligibleFallsBack(t *testing.T) {
-	p, err := PresetByName("serving-smoke-forensics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec := diffScale(p.Spec)
-	spec.Obs.Forensics = t.TempDir()
-	seqMF, seqOut := runWithShards(t, spec, 0)
-	parMF, parOut := runWithShards(t, spec, 8)
-	if !bytes.Equal(seqOut, parOut) || seqMF != parMF {
-		t.Fatalf("fallback diverges from sequential:\n  seq %+v\n  par %+v", seqMF, parMF)
-	}
-}
-
 // TestStealRepeatRunDigest pins the stealing policy's run-to-run
 // determinism: the victim order is a pure function of (node, steal
 // count), so two runs of the same spec must digest identically — any

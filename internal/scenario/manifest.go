@@ -35,11 +35,7 @@ func (m Manifest) JSON() []byte {
 }
 
 // specHash returns the sha256 of the normalized spec's canonical JSON.
-// SimShards is masked out first: parallel execution changes how many
-// cores run the experiment, never the experiment — the same spec at any
-// shard count must carry the same manifest.
 func specHash(s Spec) (string, error) {
-	s.Topology.SimShards = 0
 	b, err := json.Marshal(s)
 	if err != nil {
 		return "", fmt.Errorf("scenario: hash spec: %w", err)

@@ -43,13 +43,6 @@ func renderServing(s Spec, opt options, w io.Writer) error {
 	if s.Obs.Forensics != "" {
 		fcfg = &flight.Config{TopK: 8}
 	}
-	// Shard-count resolution and the parallel-run diagnostics both go to
-	// stderr: the rendered experiment (and with it the manifest's output
-	// digest) is identical however many cores execute it.
-	shards, seqWhy := servingShards(s)
-	if seqWhy != "" {
-		fmt.Fprintf(os.Stderr, "scenario: %s: running sequentially: %s\n", s.Name, seqWhy)
-	}
 	var fpoints []flight.NamedPoint
 	for _, a := range specArchs(s) {
 		theta := sv.Theta
@@ -75,7 +68,6 @@ func renderServing(s Spec, opt options, w io.Writer) error {
 			LoadUs:          sv.LoadUs,
 			Seed:            s.Fault.Seed,
 			Flight:          fcfg,
-			SimShards:       shards,
 		})
 		if err != nil {
 			return fmt.Errorf("scenario: serving %s: %w", a.Name, err)
@@ -95,9 +87,6 @@ func renderServing(s Spec, opt options, w io.Writer) error {
 				fpoints = append(fpoints, flight.NamedPoint{
 					Arch: a.Name, LoadUs: pt.LoadUs, Data: *pt.Flight,
 				})
-			}
-			if pt.Par != nil {
-				fmt.Fprintf(os.Stderr, "par: %s %s @%gus: %s\n", s.Name, a.Name, pt.LoadUs, pt.Par)
 			}
 		}
 		if len(kneePt.Tiers) > 0 {

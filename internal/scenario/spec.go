@@ -58,15 +58,6 @@ type Topology struct {
 	// default static slot-modulo binding, so every pre-existing spec
 	// hashes and runs unchanged.
 	ProxySched string `json:"proxy_sched,omitempty"`
-	// SimShards > 1 asks the serving kind to simulate each load point on
-	// a sharded cluster: nodes split into contiguous equal blocks, one
-	// engine per block on its own OS thread, synchronized in lookahead
-	// windows of the wire latency (internal/sim/par). Experiment output
-	// is identical to the sequential run; only wall-clock time changes.
-	// Ineligible specs (see ParallelEligible) warn and run sequentially.
-	// 0 or 1 keeps sequential execution, so pre-existing specs hash and
-	// run unchanged.
-	SimShards int `json:"sim_shards,omitempty"`
 }
 
 // FaultSpec configures deterministic fault injection for the run.
@@ -469,9 +460,6 @@ func (s Spec) Validate() error {
 	}
 	if s.Topology.Nodes < 0 || s.Topology.PPN < 0 || s.Topology.Proxies < 0 {
 		return fmt.Errorf("scenario: topology counts must be non-negative, got %+v", s.Topology)
-	}
-	if s.Topology.SimShards < 0 {
-		return fmt.Errorf("scenario: negative SimShards %d", s.Topology.SimShards)
 	}
 	if _, err := proxy.SchedByName(s.Topology.ProxySched); err != nil {
 		return fmt.Errorf("scenario: %w", err)

@@ -132,8 +132,17 @@ func TestProxySchedJSONRoundTrip(t *testing.T) {
 }
 
 func TestParseJSONRejectsUnknownFields(t *testing.T) {
-	if _, err := ParseJSON([]byte(`{"kind":"model","warp_factor":9}`)); err == nil {
-		t.Fatal("unknown field accepted")
+	for _, tc := range []struct{ json, field string }{
+		{`{"kind":"model","warp_factor":9}`, "warp_factor"},
+		// Sharded execution is a library mode, not a spec knob.
+		{`{"kind":"serving","topology":{"sim_shards":2}}`, "sim_shards"},
+	} {
+		_, err := ParseJSON([]byte(tc.json))
+		if err == nil {
+			t.Errorf("%s: unknown field accepted", tc.json)
+		} else if !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("%s: error %q does not name %q", tc.json, err, tc.field)
+		}
 	}
 }
 

@@ -2,12 +2,14 @@ package openloop
 
 import (
 	"encoding/json"
+	"errors"
 	"reflect"
 	"runtime"
 	"strings"
 	"testing"
 
 	"mproxy/internal/arch"
+	"mproxy/internal/machine/topo"
 	"mproxy/internal/trace/flight"
 )
 
@@ -63,18 +65,22 @@ func resultJSON(t *testing.T, res Result) string {
 
 // TestValidateRejectsBeforeRunning checks the configs that used to panic
 // deep inside a load point — a zero Arch ("machine: negative compute
-// time"), an unknown proxy policy — and non-positive load points come
-// back from Run as errors, before any point starts.
+// time"), an unknown proxy policy, a 1-node fat-tree or dragonfly
+// ("topo: fat-tree needs >= 2 nodes") — and non-positive load points
+// come back from Run as errors, before any point starts.
 func TestValidateRejectsBeforeRunning(t *testing.T) {
 	for name, mut := range map[string]func(*Config){
-		"zero arch":      func(c *Config) { c.Arch = arch.Params{} },
-		"zero speed":     func(c *Config) { c.Arch.Speed = 0 },
-		"negative miss":  func(c *Config) { c.Arch.CacheMiss = -1 },
-		"bad sched":      func(c *Config) { c.ProxySched = "nope" },
-		"negative proxy": func(c *Config) { c.Proxies = -1 },
-		"zero load":      func(c *Config) { c.LoadUs = []float64{40, 0} },
-		"negative load":  func(c *Config) { c.LoadUs = []float64{-5} },
-		"negative warm":  func(c *Config) { c.Warmup = -1 },
+		"zero arch":        func(c *Config) { c.Arch = arch.Params{} },
+		"zero speed":       func(c *Config) { c.Arch.Speed = 0 },
+		"negative miss":    func(c *Config) { c.Arch.CacheMiss = -1 },
+		"bad sched":        func(c *Config) { c.ProxySched = "nope" },
+		"negative proxy":   func(c *Config) { c.Proxies = -1 },
+		"zero load":        func(c *Config) { c.LoadUs = []float64{40, 0} },
+		"negative load":    func(c *Config) { c.LoadUs = []float64{-5} },
+		"negative warm":    func(c *Config) { c.Warmup = -1 },
+		"unknown topo":     func(c *Config) { c.Topo = "no-such-topology" },
+		"1-node fat-tree":  func(c *Config) { c.Nodes, c.Topo = 1, "fat-tree" },
+		"1-node dragonfly": func(c *Config) { c.Nodes, c.Topo = 1, "dragonfly" },
 	} {
 		cfg := smokeConfig(t)
 		cfg.Nodes = 4
@@ -101,9 +107,12 @@ func TestValidateRejectsBeforeRunning(t *testing.T) {
 
 // TestRunReportsLowestFailingPoint checks a sweep whose every point
 // fails returns the first point's error, as the sequential loop did.
+// Validate rejects every bad config up front, so the failure is injected
+// through the point's graph constructor.
 func TestRunReportsLowestFailingPoint(t *testing.T) {
+	defer func(orig func(string, int) (topo.Graph, error)) { pointGraph = orig }(pointGraph)
+	pointGraph = func(string, int) (topo.Graph, error) { return topo.Graph{}, errors.New("injected failure") }
 	cfg := smokeConfig(t)
-	cfg.Topo = "no-such-topology"
 	cfg.LoadUs = []float64{40, 20, 10, 5}
 	_, err := Run(cfg)
 	if err == nil || !strings.Contains(err.Error(), "load point 40 us") {

@@ -75,10 +75,14 @@ type Config struct {
 	// SimShards > 1 runs every load point on a sharded cluster: nodes
 	// partition into contiguous equal blocks, each block simulated by its
 	// own engine on its own OS thread, synchronized in lookahead windows
-	// of the wire latency (see internal/sim/par). Results are
-	// bit-deterministic across repeat runs. Requires Nodes divisible by
-	// SimShards, a positive Arch.NetLatency, no Flight recorder, and no
-	// process-global tracer. 0 or 1 = sequential.
+	// of the wire latency (see internal/sim/par). It is a library-only
+	// mode — no spec or CLI flag selects it — and results, while
+	// deterministic across repeat runs, are not bit-identical to the
+	// sequential run on switch graphs: serving-fattree-1k at 2 shards
+	// reports a p999 of 294.9 us at 80 us/client against the sequential
+	// (published) 311.3 us. Requires Nodes divisible by SimShards, a
+	// positive Arch.NetLatency, no Flight recorder, and no process-global
+	// tracer. 0 or 1 = sequential.
 	SimShards int
 }
 
@@ -158,6 +162,11 @@ func (c Config) Validate() error {
 	if err := c.machine().Validate(); err != nil {
 		return fmt.Errorf("openloop: %w", err)
 	}
+	if c.Topo != "" {
+		if _, err := topo.ByName(c.Topo, c.Nodes); err != nil {
+			return fmt.Errorf("openloop: %w", err)
+		}
+	}
 	if c.SimShards > 1 {
 		if c.Nodes%c.SimShards != 0 || c.SimShards > c.Nodes {
 			return fmt.Errorf("openloop: %d nodes cannot split into %d equal shards", c.Nodes, c.SimShards)
@@ -175,8 +184,7 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// machine is the cluster every load point builds (SimShards is set
-// separately, on sharded runs only).
+// machine is the cluster every load point builds.
 func (c Config) machine() machine.Config {
 	return machine.Config{
 		Nodes:          c.Nodes,
@@ -361,6 +369,11 @@ func (c *client) track(op kv.Op, key uint64, at int64) uint64 {
 		int64(hops)*c.perHop[op], int64(hops)*c.perHopR[op])
 }
 
+// pointGraph builds a load point's switch graph. Validate has already
+// resolved the same name and size; the variable lets tests fail every
+// point after validation passes.
+var pointGraph = topo.ByName
+
 func runPoint(cfg *Config, zp *zipfParams, idx int, loadUs float64) (Point, error) {
 	shards := cfg.SimShards
 	if shards < 1 {
@@ -372,22 +385,20 @@ func runPoint(cfg *Config, zp *zipfParams, idx int, loadUs float64) (Point, erro
 	}
 	eng := engs[0]
 	ppn := 1 + cfg.Clients
-	mcfg := cfg.machine()
 	var cl *machine.Cluster
 	var ps *par.Sim
 	if shards > 1 {
-		mcfg.SimShards = shards
-		cl = machine.NewSharded(engs, mcfg, cfg.Arch)
+		cl = machine.NewSharded(engs, cfg.machine(), cfg.Arch)
 		var err error
 		if ps, err = par.New(engs, cfg.Arch.NetLatency); err != nil {
 			return Point{}, fmt.Errorf("openloop: %w", err)
 		}
 	} else {
-		cl = machine.New(eng, mcfg, cfg.Arch)
+		cl = machine.New(eng, cfg.machine(), cfg.Arch)
 	}
 	var net *topo.Net
 	if cfg.Topo != "" {
-		g, err := topo.ByName(cfg.Topo, cfg.Nodes)
+		g, err := pointGraph(cfg.Topo, cfg.Nodes)
 		if err != nil {
 			return Point{}, fmt.Errorf("openloop: load point %v us: %w", loadUs, err)
 		}
